@@ -240,6 +240,10 @@ def colored_to_json(cg: ColoredGraph) -> str:
 
 
 def colored_from_json(text: str) -> ColoredGraph:
-    data = json.loads(text)
-    g = graphs.graph(data["vertices"], data.get("edges", []))
-    return colored_graph(g, data["colors"])
+    data = graphs.json_object(text, ("vertices", "colors"), BisimError)
+    g = graphs.graph(*graphs.graph_fields(data, BisimError))
+    colors = data["colors"]
+    if not isinstance(colors, dict) or not all(
+            type(c) in (str, int) for c in colors.values()):
+        raise BisimError("'colors' must map vertex names to strings or integers")
+    return colored_graph(g, colors)

@@ -20,10 +20,6 @@ from .patches import ConjugateGenerator, Patch
 class SearchBudget:
     max_depth: int = 3          # doubling rounds; also the ball-radius ceiling
     max_patches: int = 300      # patches kept per doubling level
-    max_vertices: int = 0       # 0 means: use the global patch budget
-
-    def vertex_cap(self):
-        return self.max_vertices or patches.vertex_budget()
 
 
 @dataclass(frozen=True)
@@ -64,19 +60,21 @@ def _fresh_exponent(p: Patch, center):
 
 
 @lru_cache(maxsize=None)
-def _doubling_level(cod: SimplicialGraph, level: int, cap: int):
+def _doubling_level(cod: SimplicialGraph, level: int, cap: int, vertex_budget: int):
     """Patches reachable by exactly `level` doublings, deduplicated by
     vertex set across all shallower levels, smallest parents first, at
     most `cap` per level.  Cached so searches over one codomain share the
-    whole family."""
+    whole family; `vertex_budget` is the patch budget in force, which
+    decides which doublings are dropped, so it is part of the key."""
     if level == 0:
         return (patches.base_patch(cod),)
     seen = set()
     for l in range(level):
-        for p in _doubling_level(cod, l, cap):
+        for p in _doubling_level(cod, l, cap, vertex_budget):
             seen.add(frozenset(p.cg_vertices))
     out = []
-    parents = sorted(_doubling_level(cod, level - 1, cap), key=lambda p: p.n)
+    parents = sorted(_doubling_level(cod, level - 1, cap, vertex_budget),
+                     key=lambda p: p.n)
     for p in parents:
         for center in p.cg_vertices:
             try:
@@ -115,8 +113,9 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
     """
     if dom.n == 0 or cod.n == 0:
         raise patches.PatchError("empty graph in embedding search")
+    vertex_budget = patches.vertex_budget()
     for level in range(budget.max_depth + 1):
-        for p in _doubling_level(cod, level, budget.max_patches):
+        for p in _doubling_level(cod, level, budget.max_patches, vertex_budget):
             if p.n < dom.n:
                 continue
             cert = _search_in_patch(dom, p)

@@ -367,9 +367,39 @@ def to_json(g) -> str:
     })
 
 
-def from_json(text: str) -> SimplicialGraph:
+def json_object(text: str, required, error=GraphError) -> dict:
+    """Parse a JSON object holding every key in `required`; raise `error`
+    with a one-line reason otherwise."""
     data = json.loads(text)
-    return graph(data["vertices"], data.get("edges", []))
+    if not isinstance(data, dict):
+        raise error("expected a JSON object")
+    for key in required:
+        if key not in data:
+            raise error(f"missing key {key!r}")
+    return data
+
+
+def check_list(value, item_ok, message, error=GraphError):
+    """`value` itself when it is a list whose items all pass `item_ok`."""
+    if not isinstance(value, list) or not all(map(item_ok, value)):
+        raise error(message)
+    return value
+
+
+def _is_edge(x):
+    return isinstance(x, list) and len(x) == 2 and all(isinstance(v, str) for v in x)
+
+
+def graph_fields(data: dict, error=GraphError):
+    """The checked (vertices, edges) of a parsed graph object."""
+    return (check_list(data["vertices"], lambda v: isinstance(v, str),
+                       "'vertices' must be a list of strings", error),
+            check_list(data.get("edges", []), _is_edge,
+                       "'edges' must be a list of vertex-name pairs", error))
+
+
+def from_json(text: str) -> SimplicialGraph:
+    return graph(*graph_fields(json_object(text, ("vertices",))))
 
 
 def from_dot(text: str) -> SimplicialGraph:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bisim, graphs, patches, words
 from .graphs import SimplicialGraph
@@ -367,6 +366,14 @@ def complex_to_json(k: NTreeComplex) -> str:
                        "simplices": sorted(sorted(s) for s in k.simplices)})
 
 
+def _is_simplex(x):
+    return isinstance(x, list) and all(type(v) in (str, int) for v in x)
+
+
 def complex_from_json(text: str) -> NTreeComplex:
-    data = json.loads(text)
-    return complex_(data["n"], data["simplices"])
+    data = graphs.json_object(text, ("n", "simplices"), NTreeError)
+    if type(data["n"]) is not int or data["n"] < 0:
+        raise NTreeError("'n' must be a non-negative integer")
+    return complex_(data["n"], graphs.check_list(
+        data["simplices"], _is_simplex,
+        "'simplices' must be a list of lists of vertex names", NTreeError))

@@ -156,11 +156,15 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class RigidityReport:
+    """Outcome of `rigidity_experiment`.  The decomposition of each
+    embedding is solved, not searched for, so every entry of `failures` is
+    a genuine counterexample to atomic rigidity: an embedding that is not
+    a graph automorphism followed by a conjugation."""
     graph: SimplicialGraph
     depth: int
     patch_count: int
     embeddings_found: int
-    decompositions: tuple       # aligned with embeddings
+    decompositions: tuple       # of the embeddings that decompose, in order
     failures: tuple             # EmbeddingCertificates with no decomposition
 
     def to_json(self):
@@ -178,47 +182,63 @@ class RigidityReport:
         }
 
 
-def _star_ball(g, base, radius):
-    """Canonical words of the centralizer of `base` up to given length."""
-    alphabet = [(v, s) for v in graphs.star(g, base) for s in (1, -1)]
-    seen = {()}
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for letters in frontier:
-            for let in alphabet:
-                cand = words.normal_form(GroupWord(g, letters + (let,))).letters
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return seen
+def _last_letters(com, letters):
+    """{letter: index of its rightmost copy} for the letters of a reduced
+    word that shuffle to its end."""
+    out = {}
+    for i in range(len(letters) - 1, -1, -1):
+        let = letters[i]
+        if let not in out and all((x, let[0]) in com for x, _ in letters[i + 1:]):
+            out[let] = i
+    return out
 
 
-def decompose_embedding(cert: embeddings.EmbeddingCertificate, radius=3):
+def _join(g, j, w):
+    """Least reduced word with both j and w as right factors: peel their
+    greatest common suffix off j and prepend the rest of j to w.  Only
+    meaningful when such a word exists; callers check the result."""
+    com = words._commuting(g)
+    rest, other = list(j), list(w)
+    while True:
+        lj, lo = _last_letters(com, rest), _last_letters(com, other)
+        common = lj.keys() & lo.keys()
+        if not common:
+            break
+        let = min(common)
+        del rest[lj[let]]
+        del other[lo[let]]
+    return words.normal_form(GroupWord(g, tuple(rest) + w)).letters
+
+
+def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     """(g, sigma) with image(sigma(v)) = v^g for all v, or None.
 
-    For an atomic graph the centre is trivial, so g is unique when it
-    exists; it is searched as s * conj(v0) with s running over a ball of
-    the centralizer of v0.
+    Both parts are forced by the certificate.  sigma(v) is the domain
+    vertex whose image has base v, and must be a graph automorphism.  With
+    c_v the coset representative of C(v)·g carried by that image, every
+    c_v is a right factor of the reduced g whose left cofactor lies in
+    C(v); so g is the join of the c_v under the suffix order, up to the
+    centre, which is trivial for an atomic graph.  The join is checked
+    against every coset, so None means no decomposition exists: a genuine
+    counterexample to rigidity, not an incomplete search.
     """
     g = cert.codomain
+    dom = cert.domain
     m = cert.as_dict()
-    v0 = g.vertices[0]
-    for emb in graphs.find_induced_embeddings(cert.domain, cert.domain):
-        sigma = emb.as_dict()
-        shuffled = {v: m[sigma[v]] for v in g.vertices}
-        if any(shuffled[v].base != v for v in g.vertices):
-            continue
-        c0 = GroupWord(g, shuffled[v0].conj)
-        for s in sorted(_star_ball(g, v0, radius)):
-            cand = GroupWord(g, s) * c0
-            if all(words.coset_canonical(v, cand).letters == shuffled[v].conj
-                   for v in g.vertices):
-                return Decomposition(
-                    words.normal_form(cand).letters,
-                    tuple(sorted(sigma.items())))
-    return None
+    sigma = {cg.base: u for u, cg in m.items()}
+    if (set(m) != set(dom.vertices) or set(dom.vertices) != set(g.vertices)
+            or set(sigma) != set(g.vertices)):
+        return None
+    if any(not dom.has_edge(sigma[a], sigma[b]) for a, b in map(tuple, dom.edges)):
+        return None
+    conj = ()
+    for v in g.vertices:
+        conj = _join(g, conj, m[sigma[v]].conj)
+    cand = GroupWord(g, conj)
+    if any(words.coset_canonical(v, cand).letters != m[sigma[v]].conj
+           for v in g.vertices):
+        return None
+    return Decomposition(conj, tuple(sorted(sigma.items())))
 
 
 def _patch_family(g, depth):
@@ -243,8 +263,7 @@ def _patch_family(g, depth):
     return family
 
 
-def rigidity_experiment(g: SimplicialGraph, depth: int,
-                        conjugator_radius=3) -> RigidityReport:
+def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     """Enumerate every induced embedding of g into every patch reachable
     by `depth` doublings and attempt the (conjugator, automorphism)
     decomposition for each; failures are collected, not raised."""
@@ -266,7 +285,7 @@ def rigidity_experiment(g: SimplicialGraph, depth: int,
             if not embeddings.verify_certificate(cert):
                 raise RigidityError("patch produced an unverifiable embedding")
             found += 1
-            dec = decompose_embedding(cert, radius=conjugator_radius)
+            dec = decompose_embedding(cert)
             if dec is None:
                 fails.append(cert)
             else:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from pcqi import bisim, graphs, ntrees
+from pcqi import bisim, graphs, ntrees, rigidity, words
+from pcqi.words import GroupWord
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +203,45 @@ def spanning_trees_oracle(g):
         if graphs.is_connected(sub):
             out.append(frozenset(combo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# rigidity decomposition: enumerate automorphisms, scan a centralizer ball
+
+def _star_ball(g, base, radius):
+    """Canonical words of the centralizer of `base` up to given length."""
+    alphabet = [(v, s) for v in graphs.star(g, base) for s in (1, -1)]
+    seen = {()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for letters in frontier:
+            for let in alphabet:
+                cand = words.normal_form(GroupWord(g, letters + (let,))).letters
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+def decompose_oracle(cert, radius):
+    """The decomposition found by trying every automorphism sigma of the
+    domain and every conjugator s * conj(v0) with s in the radius ball of
+    the centralizer of the first vertex v0; None when none fits."""
+    g = cert.codomain
+    m = cert.as_dict()
+    v0 = g.vertices[0]
+    for sigma in graphs.automorphisms(cert.domain):
+        shuffled = {v: m[sigma[v]] for v in g.vertices}
+        if any(shuffled[v].base != v for v in g.vertices):
+            continue
+        c0 = GroupWord(g, shuffled[v0].conj)
+        for s in sorted(_star_ball(g, v0, radius)):
+            cand = GroupWord(g, s) * c0
+            if all(words.coset_canonical(v, cand).letters == shuffled[v].conj
+                   for v in g.vertices):
+                return rigidity.Decomposition(
+                    words.normal_form(cand).letters,
+                    tuple(sorted(sigma.items())))
+    return None

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcqi import cli, graphs, ntrees
+from pcqi import bisim, cli, graphs, ntrees
 
 from conftest import cycle, path
 
@@ -144,3 +145,73 @@ def test_usage_errors(tmp_path, capsys):
     code = cli.main(["predicates", "--graph", str(bad)])
     capsys.readouterr()
     assert code == 2
+
+
+BAD_GRAPHS = ['{"edges": []}', '[1, 2]', '{"vertices": "ab"}',
+              '{"vertices": ["a", "b"], "edges": [["a"]]}',
+              '{"vertices": ["a", 2]}']
+BAD_COLORED = ['{"vertices": ["a"], "edges": []}',
+               '{"vertices": ["a"], "colors": ["p1"]}',
+               '{"vertices": ["a"], "colors": {"a": [1]}}',
+               '{"colors": {"a": "p1"}}']
+BAD_COMPLEXES = ['{"simplices": [["a", "b"]]}', '{"n": 1}',
+                 '{"n": "1", "simplices": [["a", "b"]]}',
+                 '{"n": 1, "simplices": ["ab"]}', '"n"']
+
+
+def _malformed(tmp_path, capsys, text, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = cli.main([a.replace("BAD", str(bad)) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+@pytest.mark.parametrize("text", BAD_GRAPHS)
+def test_malformed_graph_exits_2(tmp_path, capsys, text):
+    code, err = _malformed(tmp_path, capsys, text, ["rigidity", "--graph", "BAD"])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", BAD_COLORED)
+def test_malformed_colored_graph_exits_2(tmp_path, capsys, text):
+    code, err = _malformed(tmp_path, capsys, text, ["bisim", "--a", "BAD", "--b", "BAD"])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", BAD_COMPLEXES)
+def test_malformed_complex_exits_2(tmp_path, capsys, text):
+    code, err = _malformed(tmp_path, capsys, text, ["gph", "--complex", "BAD"])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_missing_vertices_key_message(tmp_path, capsys):
+    code, err = _malformed(tmp_path, capsys, '{"edges": []}',
+                           ["predicates", "--graph", "BAD"])
+    assert code == 2 and err == "error: missing key 'vertices'\n"
+
+
+_names = st.sampled_from(["a", "b", "c"])
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | _names,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["vertices", "edges", "colors", "n",
+                                       "simplices", "a", "b"]), kids, max_size=5),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json)
+def test_loaders_raise_only_value_errors(data):
+    """Any JSON value either loads or raises a ValueError, which the CLI
+    reports with exit 2."""
+    text = json.dumps(data)
+    for load in (graphs.from_json, bisim.colored_from_json, ntrees.complex_from_json):
+        try:
+            load(text)
+        except ValueError:
+            pass

@@ -95,3 +95,20 @@ def test_wedge_and_c5_mutually_embed(c5, wedge):
     assert cert is not None and embeddings.verify_certificate(cert)
     back = embeddings.search_embedding(c5, wedge, budget)
     assert back is not None and back.provenance == ()
+
+
+def test_doubling_levels_follow_the_vertex_budget(c5, monkeypatch):
+    """The cached doubling family is keyed on the patch budget: a small
+    budget in force earlier in the process does not stick."""
+    def levels():
+        return [len(embeddings._doubling_level(c5, l, 300, patches.vertex_budget()))
+                for l in range(4)]
+
+    budget = SearchBudget(max_depth=2)
+    monkeypatch.setenv("PCQI_BUDGET_VERTICES", "8")
+    assert levels() == [1, 5, 0, 0]
+    assert embeddings.search_embedding(path(7), c5, budget) is None
+    monkeypatch.setenv("PCQI_BUDGET_VERTICES", "5000")
+    assert levels() == [1, 5, 30, 285]
+    cert = embeddings.search_embedding(path(7), c5, budget)
+    assert cert is not None and len(cert.provenance) == 2

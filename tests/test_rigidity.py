@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pcqi import embeddings, graphs, patches, rigidity, words
@@ -6,7 +8,7 @@ from pcqi.patches import conjugate_generator
 from pcqi.words import GroupWord
 
 from conftest import cycle
-from oracles import spanning_trees_oracle
+from oracles import decompose_oracle, spanning_trees_oracle
 
 
 def test_spanning_trees_match_oracle(c5, petersen):
@@ -144,3 +146,97 @@ def test_experiment_depth1_c5(c5):
 def test_experiment_nontrivial_conjugators_appear(c5):
     rep = rigidity.rigidity_experiment(c5, 1)
     assert any(d.conjugator for d in rep.decompositions)
+
+
+def _certificates(g, depth):
+    """Every distinct certificate the rigidity experiment decomposes."""
+    out, seen = [], set()
+    for p in rigidity._patch_family(g, depth):
+        plain = patches.to_simplicial(p)
+        names = patches.named_vertices(p)
+        for emb in graphs.find_induced_embeddings(g, plain):
+            mapping = tuple(sorted(
+                (v, names[img]) for v, img in emb.as_dict().items()))
+            if mapping not in seen:
+                seen.add(mapping)
+                out.append(EmbeddingCertificate(g, g, mapping, p.provenance))
+    return out
+
+
+def _conjugation_cert(g, sigma, conj):
+    """The certificate of sigma followed by conjugation by `conj`."""
+    mapping = tuple(sorted((sigma[v], conjugate_generator(g, v, conj))
+                           for v in g.vertices))
+    return EmbeddingCertificate(g, g, mapping, ())
+
+
+@pytest.mark.parametrize("name,depth", [("c5", 2), ("c6", 1), ("petersen", 0)])
+def test_decompose_matches_oracle(name, depth, c5, petersen):
+    g = {"c5": c5, "c6": cycle(6), "petersen": petersen}[name]
+    certs = _certificates(g, depth)
+    assert certs
+    for cert in certs:
+        dec = rigidity.decompose_embedding(cert)
+        assert dec is not None
+        assert dec == decompose_oracle(cert, 3)
+
+
+def test_decompose_rejects_shuffled_images(c5, petersen):
+    rng = random.Random(11)
+    checked = 0
+    for g, depth in ((c5, 1), (petersen, 0)):
+        auts = graphs.automorphisms(g)
+        for cert in _certificates(g, depth)[:40]:
+            verts = [v for v, _ in cert.mapping]
+            images = [cg for _, cg in cert.mapping]
+            rng.shuffle(images)
+            sigma = {cg.base: v for v, cg in zip(verts, images)}
+            if sigma in auts:
+                continue
+            bad = EmbeddingCertificate(g, g, tuple(zip(verts, images)), ())
+            assert rigidity.decompose_embedding(bad) is None
+            assert decompose_oracle(bad, 3) is None
+            checked += 1
+    assert checked > 40
+
+
+def test_decompose_rejects_inconsistent_conjugators(c5):
+    """sigma is the identity, but only v1's image is conjugated, by v3:
+    no single g gives every image, so the coset check must refuse."""
+    identity = words.identity(c5)
+    mapping = tuple(sorted(
+        (v, conjugate_generator(c5, v, words.word(c5, "v3") if v == "v1" else identity))
+        for v in c5.vertices))
+    cert = EmbeddingCertificate(c5, c5, mapping, ())
+    assert rigidity.decompose_embedding(cert) is None
+    assert decompose_oracle(cert, 3) is None
+
+
+def test_decompose_recovers_random_conjugations(c5, petersen):
+    rng = random.Random(20261018)
+    for g in (c5, cycle(6), cycle(7), petersen):
+        auts = graphs.automorphisms(g)
+        for _ in range(40):
+            conj = GroupWord(g, tuple(
+                (rng.choice(g.vertices), rng.choice((1, -1)))
+                for _ in range(rng.randrange(13))))
+            sigma = rng.choice(auts)
+            cert = _conjugation_cert(g, sigma, conj)
+            assert embeddings.verify_certificate(cert)
+            dec = rigidity.decompose_embedding(cert)
+            assert dec is not None
+            assert dec.conjugator == words.normal_form(conj).letters
+            assert dict(dec.automorphism) == sigma
+
+
+def test_decompose_long_conjugator_beyond_radius(c5):
+    """A conjugator outside the radius-3 centralizer ball of v1: the
+    ball search misses it, the solved decomposition recovers it."""
+    conj = words.word(c5, "v2^-1 v4^-1 v1^-1 v5^-3")
+    identity = {v: v for v in c5.vertices}
+    cert = _conjugation_cert(c5, identity, conj)
+    assert decompose_oracle(cert, 3) is None
+    dec = rigidity.decompose_embedding(cert)
+    assert dec is not None
+    assert dec.conjugator == words.normal_form(conj).letters
+    assert dict(dec.automorphism) == identity
