@@ -21,6 +21,10 @@ class SearchBudget:
     max_depth: int = 3          # doubling rounds; also the ball-radius ceiling
     max_patches: int = 300      # patches kept per doubling level
 
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(f"negative search depth {self.max_depth}")
+
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:

@@ -12,7 +12,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class GraphError(ValueError):
@@ -36,8 +36,14 @@ class SimplicialGraph:
             if not e <= seen:
                 raise GraphError(f"edge endpoint not declared: {set(e)}")
 
+    @cached_property
+    def vertex_set(self) -> frozenset:
+        """The vertices as a frozenset, built on first use; not part of
+        equality or hashing."""
+        return frozenset(self.vertices)
+
     def __contains__(self, v):
-        return v in set(self.vertices)
+        return v in self.vertex_set
 
     @property
     def n(self):

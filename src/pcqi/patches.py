@@ -3,17 +3,19 @@
 A patch vertex is a conjugate generator v^g with g the canonical coset
 representative for the centralizer of v, so two patch vertices are equal
 as group elements exactly when their (base, conjugator) pairs coincide.
-Edges are never trusted from a construction: every patch recomputes
-adjacency through the word algebra, so patches are exact induced
-subgraphs of the extension graph by definition.
+Edges are derived by conjugation and audited by `recompute_edges`: a base
+or ball patch tests every pair through the word algebra, and a doubling
+carries the parent's edges over to the conjugated copy (conjugation is an
+automorphism of the extension graph), testing only the pairs with one end
+outside the copy and the other outside the parent.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from . import graphs, words
 from .graphs import SimplicialGraph
@@ -64,13 +66,15 @@ def conjugate_generator(g: SimplicialGraph, base: str, conj: GroupWord) -> Conju
 @lru_cache(maxsize=None)
 def _commute_cg(g: SimplicialGraph, a: ConjugateGenerator, b: ConjugateGenerator) -> bool:
     # u^x commutes with w^y  iff  conjugating both by x^-1 reduces to
-    # [u, w^(y x^-1)] = 1, i.e. membership of the shifted w in the
-    # parabolic centralizer of u, which is generated by the closed star.
+    # [u, w^(y x^-1)] = 1, i.e. membership of the shifted w, the raw word
+    # x y^-1 w y x^-1, in the parabolic centralizer of u, which is
+    # generated by the closed star: only its support after cancellation
+    # matters.
     if a == b:
         return True
-    z = GroupWord(g, b.conj) * GroupWord(g, a.conj).inverse()
-    shifted = words.conjugate(GroupWord(g, ((b.base, 1),)), z)
-    return words.supported_in(shifted, graphs.star(g, a.base))
+    shifted = (a.conj + words.inverse_letters(b.conj) + ((b.base, 1),)
+               + b.conj + words.inverse_letters(a.conj))
+    return words.reduced_support(g, shifted) <= graphs.star(g, a.base)
 
 
 def commute_cg(g, a, b) -> bool:
@@ -90,25 +94,27 @@ class Patch:
     def n(self):
         return len(self.cg_vertices)
 
+    @cached_property
+    def vertex_set(self) -> frozenset:
+        """The vertices as a frozenset, built on first use; not part of
+        equality or hashing."""
+        return frozenset(self.cg_vertices)
+
     def has_vertex(self, cg):
-        return cg in set(self.cg_vertices)
+        return cg in self.vertex_set
 
 
-def _build(g, cgs, provenance, known_edges=None, known_verts=None):
-    seen = []
-    for cg in cgs:
-        if cg not in seen:
-            seen.append(cg)
+def _build(g, cgs, provenance, edges=(), pairs=None):
+    """Patch on `cgs` (first occurrences, in order) whose edges are `edges`
+    plus the commuting ones among `pairs`, by default every vertex pair."""
+    seen = tuple(dict.fromkeys(cgs))
     if len(seen) > vertex_budget():
         raise BudgetExceeded(f"patch would have {len(seen)} vertices")
-    edges = set(known_edges or ())
-    old = set(known_verts or ())
-    for a, b in itertools.combinations(seen, 2):
-        if a in old and b in old:
-            continue
-        if commute_cg(g, a, b):
-            edges.add(frozenset((a, b)))
-    return Patch(g, tuple(seen), frozenset(edges), tuple(provenance))
+    if pairs is None:
+        pairs = itertools.combinations(seen, 2)
+    edges = set(edges)
+    edges.update(frozenset(pair) for pair in pairs if commute_cg(g, *pair))
+    return Patch(g, seen, frozenset(edges), tuple(provenance))
 
 
 def base_patch(g: SimplicialGraph) -> Patch:
@@ -133,13 +139,46 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     g = p.graph
     z = GroupWord(g, ((center.base, 1 if exponent > 0 else -1),) * abs(exponent))
     zc = words.conjugate(z, center.conj_word(g))    # (base^k)^conjugator
-    new = [conjugate_generator(g, cg.base, cg.conj_word(g) * zc)
-           for cg in p.cg_vertices]
+    image = {cg: conjugate_generator(g, cg.base, cg.conj_word(g) * zc)
+             for cg in p.cg_vertices}
+    # Conjugation is an automorphism of the extension graph, so the copy's
+    # edges are the parent's carried over.  Only pairs with one end outside
+    # the copy and the other outside the parent are left to test.
+    in_copy = set(image.values())
+    outside = [cg for cg in p.cg_vertices if cg not in in_copy]
+    new = [cg for cg in dict.fromkeys(image.values()) if not p.has_vertex(cg)]
+    carried = {frozenset(image[x] for x in e) for e in p.cg_edges}
     return _build(
-        g, list(p.cg_vertices) + new,
+        g, p.cg_vertices + tuple(new),
         p.provenance + (("double", center, exponent),),
-        known_edges=p.cg_edges, known_verts=p.cg_vertices,
+        edges=p.cg_edges | carried, pairs=itertools.product(outside, new),
     )
+
+
+def doubling_family(g: SimplicialGraph, depth: int) -> list:
+    """Every patch reachable from the base patch by at most `depth`
+    exponent-1 doublings, breadth first, deduplicated by vertex set.
+
+    BudgetExceeded propagates: a family cut by the vertex budget is not
+    returned as if it were complete."""
+    if depth < 0:
+        raise PatchError(f"negative depth {depth}")
+    base = base_patch(g)
+    family, frontier = [base], [base]
+    seen = {base.vertex_set}
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for center in p.cg_vertices:
+                if ("double", center, 1) in p.provenance:
+                    continue
+                q = double_along_star(p, center, 1)
+                if q.vertex_set not in seen:
+                    seen.add(q.vertex_set)
+                    family.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    return family
 
 
 @lru_cache(maxsize=None)

@@ -241,34 +241,12 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     return Decomposition(conj, tuple(sorted(sigma.items())))
 
 
-def _patch_family(g, depth):
-    base = patches.base_patch(g)
-    family = [base]
-    seen = {frozenset(base.cg_vertices)}
-    frontier = [base]
-    for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for center in p.cg_vertices:
-                try:
-                    q = patches.double_along_star(p, center, 1)
-                except patches.PatchError:
-                    continue
-                key = frozenset(q.cg_vertices)
-                if key not in seen:
-                    seen.add(key)
-                    family.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return family
-
-
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     """Enumerate every induced embedding of g into every patch reachable
     by `depth` doublings and attempt the (conjugator, automorphism)
     decomposition for each; failures are collected, not raised."""
     _require_atomic(g)
-    family = _patch_family(g, depth)
+    family = patches.doubling_family(g, depth)
     seen_maps = set()
     decs, fails = [], []
     found = 0

@@ -31,9 +31,8 @@ class GroupWord:
     letters: tuple
 
     def __post_init__(self):
-        vs = set(self.graph.vertices)
         for gen, sign in self.letters:
-            if gen not in vs:
+            if gen not in self.graph:
                 raise WordError(f"unknown generator {gen!r}")
             if sign not in (1, -1):
                 raise WordError(f"bad sign {sign!r}")
@@ -47,7 +46,11 @@ class GroupWord:
         return GroupWord(self.graph, self.letters + other.letters)
 
     def inverse(self):
-        return GroupWord(self.graph, tuple((g, -s) for g, s in reversed(self.letters)))
+        return GroupWord(self.graph, inverse_letters(self.letters))
+
+
+def inverse_letters(letters) -> tuple:
+    return tuple((g, -s) for g, s in reversed(letters))
 
 
 def word(g: SimplicialGraph, text: str = "", letters=None) -> GroupWord:
@@ -157,8 +160,16 @@ def commute(u: GroupWord, w: GroupWord) -> bool:
     return is_trivial(u.inverse() * w.inverse() * u * w)
 
 
+def reduced_support(g: SimplicialGraph, letters) -> frozenset:
+    """Generators of a raw letter sequence left after cancellation.
+
+    Every reduced word for an element uses the same letters, so this is
+    the element's support; the shuffle to normal form is not needed."""
+    return frozenset(gen for gen, _ in _reduce(g, letters))
+
+
 def support(w: GroupWord):
-    return frozenset(g for g, _ in _normal_letters(w.graph, w.letters))
+    return reduced_support(w.graph, w.letters)
 
 
 def supported_in(w: GroupWord, verts) -> bool:

@@ -50,29 +50,6 @@ def random_tree(k, rng, prefix="t"):
     return graphs.graph(vs, es)
 
 
-def doubling_family(g, depth):
-    """Every patch reachable by at most `depth` exponent-1 doublings."""
-    base = patches.base_patch(g)
-    family = [base]
-    seen = {frozenset(base.cg_vertices)}
-    frontier = [base]
-    for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for center in p.cg_vertices:
-                try:
-                    q = patches.double_along_star(p, center, 1)
-                except patches.PatchError:
-                    continue
-                key = frozenset(q.cg_vertices)
-                if key not in seen:
-                    seen.add(key)
-                    family.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return family
-
-
 def test_criterion_01_word_oracle(capsys):
     started = time.time()
     rng = random.Random(101)
@@ -91,7 +68,7 @@ def test_criterion_02_clique_fixed_point(capsys):
     started = time.time()
     for n in range(2, 6):
         k = clique(n)
-        for p in doubling_family(k, 3):
+        for p in patches.doubling_family(k, 3):
             s = patches.to_simplicial(p)
             assert graphs.are_isomorphic(s, k), n
     report(capsys, 2, "clique extension fixed point", started, 5)
@@ -118,7 +95,7 @@ def test_criterion_04_girth_preserved(capsys):
     started = time.time()
     c4 = cycle(4, "q")
     for g in (cycle(5), petersen_graph()):
-        fam = doubling_family(g, 3)
+        fam = patches.doubling_family(g, 3)
         for p in fam:
             s = patches.to_simplicial(p)
             assert graphs.girth(s) >= 5     # excludes C4, induced or not

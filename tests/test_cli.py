@@ -147,6 +147,19 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "--domain", "C5", "--codomain", "C5", "--depth", "-1"],
+    ["classify", "--a", "C5", "--b", "C5", "--criterion", "--budget", "-1"],
+    ["rigidity", "--graph", "C5", "--depth", "-1"],
+])
+def test_negative_depth_exits_2(c5_file, capsys, argv):
+    code = cli.main([c5_file if a == "C5" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "negative" in captured.err
+
+
 BAD_GRAPHS = ['{"edges": []}', '[1, 2]', '{"vertices": "ab"}',
               '{"vertices": ["a", "b"], "edges": [["a"]]}',
               '{"vertices": ["a", 2]}']

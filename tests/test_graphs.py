@@ -20,6 +20,12 @@ def test_builder_sorts_and_validates():
         graphs.graph(["a"], [("a", "b")])
 
 
+def test_membership_matches_vertex_tuple(c5):
+    for v in list(c5.vertices) + ["v0", "v6", "", "v1 "]:
+        assert (v in c5) == (v in c5.vertices)
+    assert c5 == cycle(5) and hash(c5) == hash(cycle(5))
+
+
 def test_star_link_degree(c5):
     assert graphs.star(c5, "v1") == {"v1", "v2", "v5"}
     assert graphs.link(c5, "v1") == {"v2", "v5"}

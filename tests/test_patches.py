@@ -7,6 +7,7 @@ from pcqi.patches import ConjugateGenerator
 from pcqi.words import GroupWord
 
 from conftest import clique, cycle, path, random_graph
+from oracles import equal_oracle, reduced_class
 
 
 P3 = path(3)
@@ -36,6 +37,40 @@ def test_commute_cg_matches_direct_commutator(rng, c5):
         for a, b in itertools.combinations(sorted(cgs), 2):
             direct = words.commute(a.as_word(g), b.as_word(g))
             assert patches.commute_cg(g, a, b) == direct
+
+
+def _random_cg(rng, g, max_len):
+    letters = tuple((rng.choice(g.vertices), rng.choice((1, -1)))
+                    for _ in range(rng.randrange(max_len + 1)))
+    return patches.conjugate_generator(g, rng.choice(g.vertices),
+                                       GroupWord(g, letters))
+
+
+def test_commute_cg_matches_oracle(rng):
+    """The cancellation-only edge test against the shuffle-and-cancel
+    closure of the commutator, with conjugators of length <= 3."""
+    commuting = 0
+    for _ in range(400):
+        g = random_graph(rng.randrange(1, 6), rng.random(), rng)
+        a, b = _random_cg(rng, g, 3), _random_cg(rng, g, 3)
+        ua, ub = a.as_word(g), b.as_word(g)
+        commutator = (ua.inverse() * ub.inverse() * ua * ub).letters
+        expected = equal_oracle(g, commutator, ())
+        assert patches.commute_cg(g, a, b) == expected, (g, a, b)
+        commuting += expected
+    assert 0 < commuting < 400
+
+
+def test_support_matches_oracle(rng):
+    for _ in range(300):
+        g = random_graph(rng.randrange(1, 6), rng.random(), rng)
+        letters = tuple((rng.choice(g.vertices), rng.choice((1, -1)))
+                        for _ in range(rng.randrange(9)))
+        w = GroupWord(g, letters)
+        shortest = next(iter(reduced_class(g, letters)))
+        assert words.support(w) == {x for x, _ in shortest}
+        assert words.support(w) == {x for x, _ in words.normal_form(w).letters}
+        assert words.supported_in(w, words.support(w))
 
 
 def test_base_patch_is_the_defining_graph(c5, petersen):
@@ -93,6 +128,47 @@ def test_edges_always_recomputable(rng, c5):
         center = rng.choice(p.cg_vertices)
         p = patches.double_along_star(p, center, 1)
     assert patches.recompute_edges(p).cg_edges == p.cg_edges
+
+
+def test_doubled_edges_match_audit(c5, petersen):
+    """Edges carried over by conjugation equal edges recomputed pair by pair."""
+    for g, depth in ((c5, 2), (petersen, 1)):
+        for p in patches.doubling_family(g, depth):
+            assert patches.recompute_edges(p).cg_edges == p.cg_edges
+
+
+def test_doubled_edges_match_audit_random(rng):
+    for _ in range(40):
+        g = random_graph(rng.randrange(2, 7), rng.random(), rng)
+        p = patches.base_patch(g)
+        for _ in range(rng.randrange(1, 4)):
+            center = rng.choice(p.cg_vertices)
+            exponent = rng.choice((1, -1, 2, -2))
+            if ("double", center, exponent) in p.provenance:
+                continue
+            p = patches.double_along_star(p, center, exponent)
+            assert patches.recompute_edges(p) == p
+
+
+def test_has_vertex_matches_vertex_tuple(c5):
+    p = patches.double_along_star(
+        patches.base_patch(c5), ConjugateGenerator("v1", ()), 1)
+    others = [ConjugateGenerator("v3", (("v2", 1),)), ConjugateGenerator("v9", ())]
+    for cg in list(p.cg_vertices) + others:
+        assert p.has_vertex(cg) == (cg in p.cg_vertices)
+
+
+def test_doubling_family(c5, monkeypatch):
+    fam = patches.doubling_family(c5, 2)
+    assert [p.n for p in fam[:2]] == [5, 7]
+    assert len(fam) == 31
+    assert len({p.vertex_set for p in fam}) == len(fam)
+    assert all(len(p.provenance) <= 2 for p in fam)
+    with pytest.raises(patches.PatchError):
+        patches.doubling_family(c5, -1)
+    monkeypatch.setenv("PCQI_BUDGET_VERTICES", "8")
+    with pytest.raises(patches.BudgetExceeded):     # not a shorter family
+        patches.doubling_family(c5, 2)
 
 
 def test_ball_patch(c5):

@@ -151,7 +151,7 @@ def test_experiment_nontrivial_conjugators_appear(c5):
 def _certificates(g, depth):
     """Every distinct certificate the rigidity experiment decomposes."""
     out, seen = [], set()
-    for p in rigidity._patch_family(g, depth):
+    for p in patches.doubling_family(g, depth):
         plain = patches.to_simplicial(p)
         names = patches.named_vertices(p)
         for emb in graphs.find_induced_embeddings(g, plain):
