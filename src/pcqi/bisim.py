@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from . import graphs
 from .graphs import SimplicialGraph
@@ -28,11 +30,13 @@ class ColoredGraph:
     color_items: tuple      # ((vertex, color), ...) sorted
 
     def color(self, v):
-        return dict(self.color_items)[v]
+        return self.colors[v]
 
-    @property
-    def colors(self):
-        return dict(self.color_items)
+    @cached_property
+    def colors(self) -> MappingProxyType:
+        """Read-only map of vertex to color, built on first use; not part
+        of equality or hashing."""
+        return MappingProxyType(dict(self.color_items))
 
 
 def colored_graph(g: SimplicialGraph, colors: dict) -> ColoredGraph:

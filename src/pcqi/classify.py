@@ -37,7 +37,9 @@ class QIVerdict:
 
     def to_json(self):
         cert = self.certificate
-        if isinstance(cert, (dict, tuple)):
+        if isinstance(cert, QIVerdict):
+            cert = cert.to_json()
+        elif isinstance(cert, (dict, tuple)):
             cert = repr(cert)
         return {"verdict": self.verdict, "class": self.klass,
                 "certificate": cert, "explanation": self.explanation}

@@ -16,10 +16,12 @@ from .graphs import SimplicialGraph
 from .patches import ConjugateGenerator, Patch
 
 
+MAX_PATCHES_PER_LEVEL = 300
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_depth: int = 3          # doubling rounds; also the ball-radius ceiling
-    max_patches: int = 300      # patches kept per doubling level
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -64,20 +66,21 @@ def _fresh_exponent(p: Patch, center):
 
 
 @lru_cache(maxsize=None)
-def _doubling_level(cod: SimplicialGraph, level: int, cap: int, vertex_budget: int):
+def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
     """Patches reachable by exactly `level` doublings, deduplicated by
     vertex set across all shallower levels, smallest parents first, at
-    most `cap` per level.  Cached so searches over one codomain share the
-    whole family; `vertex_budget` is the patch budget in force, which
-    decides which doublings are dropped, so it is part of the key."""
+    most MAX_PATCHES_PER_LEVEL per level.  Cached so searches over one
+    codomain share the whole family; `vertex_budget` is the patch budget
+    in force, which decides which doublings are dropped, so it is part of
+    the key."""
     if level == 0:
         return (patches.base_patch(cod),)
     seen = set()
     for l in range(level):
-        for p in _doubling_level(cod, l, cap, vertex_budget):
+        for p in _doubling_level(cod, l, vertex_budget):
             seen.add(frozenset(p.cg_vertices))
     out = []
-    parents = sorted(_doubling_level(cod, level - 1, cap, vertex_budget),
+    parents = sorted(_doubling_level(cod, level - 1, vertex_budget),
                      key=lambda p: p.n)
     for p in parents:
         for center in p.cg_vertices:
@@ -90,7 +93,7 @@ def _doubling_level(cod: SimplicialGraph, level: int, cap: int, vertex_budget: i
                 continue
             seen.add(key)
             out.append(q)
-            if len(out) >= cap:
+            if len(out) >= MAX_PATCHES_PER_LEVEL:
                 return tuple(out)
     return tuple(out)
 
@@ -119,7 +122,7 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
         raise patches.PatchError("empty graph in embedding search")
     vertex_budget = patches.vertex_budget()
     for level in range(budget.max_depth + 1):
-        for p in _doubling_level(cod, level, budget.max_patches, vertex_budget):
+        for p in _doubling_level(cod, level, vertex_budget):
             if p.n < dom.n:
                 continue
             cert = _search_in_patch(dom, p)

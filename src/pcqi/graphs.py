@@ -3,7 +3,7 @@ and induced-subgraph search.
 
 Vertex names are opaque strings; the total order on vertices is
 lexicographic and fixed at construction.  All graphs are immutable and
-hashable, so derived data (adjacency maps) is memoized per graph.
+hashable, so derived data (adjacency maps) is stored on the graph.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from types import MappingProxyType
 
 
 class GraphError(ValueError):
@@ -42,6 +43,17 @@ class SimplicialGraph:
         equality or hashing."""
         return frozenset(self.vertices)
 
+    @cached_property
+    def adjacency(self) -> MappingProxyType:
+        """Read-only map of each vertex to the frozenset of its neighbours,
+        built on first use; not part of equality or hashing."""
+        adj = {v: set() for v in self.vertices}
+        for e in self.edges:
+            a, b = e
+            adj[a].add(b)
+            adj[b].add(a)
+        return MappingProxyType({v: frozenset(ns) for v, ns in adj.items()})
+
     def __contains__(self, v):
         return v in self.vertex_set
 
@@ -63,21 +75,15 @@ def graph(vertices, edges=()) -> SimplicialGraph:
     return SimplicialGraph(vs, es)
 
 
-@lru_cache(maxsize=None)
-def adjacency(g: SimplicialGraph) -> dict:
-    adj = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def adjacency(g: SimplicialGraph) -> MappingProxyType:
+    return g.adjacency
 
 
 def link(g, v):
     """Neighbours of v."""
     if v not in g:
         raise GraphError(f"unknown vertex {v!r}")
-    return frozenset(adjacency(g)[v])
+    return adjacency(g)[v]
 
 
 def star(g, v):
@@ -328,12 +334,14 @@ def find_induced_embeddings(dom, cod, limit=None):
             out.append(GraphEmbedding(dom, cod, tuple(sorted(mapping.items()))))
             return
         v = order[i]
+        nv = dom_adj[v]
         for c in cod.vertices:
             if c in used:
                 continue
+            nc = cod_adj[c]
             ok = True
             for u, cu in mapping.items():
-                if (u in dom_adj[v]) != (cu in cod_adj[c]):
+                if (u in nv) != (cu in nc):
                     ok = False
                     break
             if ok:

@@ -240,13 +240,6 @@ def induced_gph_map(k_big: NTreeComplex, k_small: NTreeComplex, vertex_map: dict
 # ---------------------------------------------------------------------------
 # constructive embedding from a weak covering of invariant graphs
 
-def _piece_by_id(k, pid):
-    for p in pieces(k):
-        if _pid(p) == pid:
-            return p
-    raise NTreeError(f"no piece {pid}")
-
-
 def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
     """Given a weak covering f: gph(delta) -> gph(gamma), construct a
     verified induced embedding of delta's 1-skeleton into the extension
@@ -298,10 +291,12 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
         images[v] = new
 
     adj = graphs.adjacency(gph_d.graph)
+    pieces_d = {_pid(p): p for p in pieces(delta)}
+    pieces_g = {_pid(p): p for p in pieces(gamma)}
 
     def handle_piece(pid, entry_fid, entry_conj, done):
-        piece = _piece_by_id(delta, pid)
-        piece_g = _piece_by_id(gamma, f[pid])
+        piece = pieces_d[pid]
+        piece_g = pieces_g[f[pid]]
         spine_by_color = {col_g[v]: v for v in piece_g.spine}
         tips_g = sorted(piece_g.tips)
         g_p = entry_conj if entry_conj is not None else words.identity(g_gamma)
@@ -323,7 +318,7 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
                 continue
             fid = _fid(s)
             tip = next(iter(s - piece.spine))
-            if fid in set(gph_d.graph.vertices):
+            if fid in gph_d.graph:
                 target = next(iter(frozenset(f[fid][2:].split(",")) - piece_g.spine))
             else:
                 free = [t for t in tips_g if t not in used_targets]
@@ -338,7 +333,7 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
                 conj = GroupWord(g_gamma, ((sibling, 1),) * m) * g_p
             used_targets.add(target)
             assign(tip, target, conj)
-            if fid in set(gph_d.graph.vertices):
+            if fid in gph_d.graph:
                 for nxt in sorted(adj[fid]):
                     if nxt != pid and nxt not in done:
                         done.add(nxt)

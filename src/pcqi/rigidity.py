@@ -182,32 +182,18 @@ class RigidityReport:
         }
 
 
-def _last_letters(com, letters):
-    """{letter: index of its rightmost copy} for the letters of a reduced
-    word that shuffle to its end."""
-    out = {}
-    for i in range(len(letters) - 1, -1, -1):
-        let = letters[i]
-        if let not in out and all((x, let[0]) in com for x, _ in letters[i + 1:]):
-            out[let] = i
-    return out
-
-
 def _join(g, j, w):
     """Least reduced word with both j and w as right factors: peel their
     greatest common suffix off j and prepend the rest of j to w.  Only
-    meaningful when such a word exists; callers check the result."""
-    com = words._commuting(g)
-    rest, other = list(j), list(w)
-    while True:
-        lj, lo = _last_letters(com, rest), _last_letters(com, other)
-        common = lj.keys() & lo.keys()
-        if not common:
-            break
-        let = min(common)
-        del rest[lj[let]]
-        del other[lo[let]]
-    return words.normal_form(GroupWord(g, tuple(rest) + w)).letters
+    meaningful when such a word exists; callers check the result.
+
+    j and w are reduced, so reducing j·w⁻¹ cancels exactly that common
+    suffix, each pair deleting one letter of j; the letters of j left in
+    front of the reduced word are the rest of j."""
+    out = words._reduce(g, j + words.inverse_letters(w))
+    cancelled = (len(j) + len(w) - len(out)) // 2
+    rest = tuple(out[:len(j) - cancelled])
+    return words.normal_form(GroupWord(g, rest + w)).letters
 
 
 def decompose_embedding(cert: embeddings.EmbeddingCertificate):

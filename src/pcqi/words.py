@@ -10,6 +10,7 @@ is tuple comparison.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,58 +81,56 @@ def conjugate(w: GroupWord, by: GroupWord) -> GroupWord:
     return by.inverse() * w * by
 
 
-@lru_cache(maxsize=None)
-def _commuting(g: SimplicialGraph):
-    pairs = set()
-    for v in g.vertices:
-        pairs.add((v, v))
-    for e in g.edges:
-        a, b = sorted(e)
-        pairs.add((a, b))
-        pairs.add((b, a))
-    return pairs
-
-
 def _reduce(g, letters):
-    """Delete cancelling pairs reachable by commuting swaps, to fixpoint."""
-    com = _commuting(g)
-    letters = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            gi, si = letters[i]
-            for j in range(i + 1, n):
-                gj, sj = letters[j]
-                if gj == gi:
-                    if sj == -si:
-                        del letters[j]
-                        del letters[i]
-                        changed = True
-                    break
-                if (gj, gi) not in com:
-                    break
-            if changed:
-                break
-    return letters
+    """Freely reduce in one left-to-right pass.
+
+    Each letter scans back through the kept letters while they commute
+    with it; a vertex is not its own neighbour, so the scan stops at the
+    first letter of the same generator, which is deleted when it is the
+    inverse.  Deleting a letter that shuffles to the end of a reduced
+    word leaves it reduced, so the kept prefix stays reduced."""
+    adj = graphs.adjacency(g)
+    out = []
+    for gen, sign in letters:
+        nbrs = adj[gen]
+        i = len(out) - 1
+        while i >= 0 and out[i][0] in nbrs:
+            i -= 1
+        if i >= 0 and out[i] == (gen, -sign):
+            del out[i]
+        else:
+            out.append((gen, sign))
+    return out
 
 
 def _lex_least(g, letters):
-    """Least shuffle representative of a reduced sequence."""
-    com = _commuting(g)
-    rest = list(letters)
+    """Least shuffle representative of a reduced sequence, as a
+    heap-ordered topological sort: each letter waits on the latest earlier
+    letter of its own generator and of every generator it does not commute
+    with, and the least ready letter, positive first, then earliest, goes
+    next."""
+    adj = graphs.adjacency(g)
+    waiting = [0] * len(letters)
+    after = [[] for _ in letters]
+    last = {}
+    for j, (gen, _) in enumerate(letters):
+        for h, i in last.items():
+            if h not in adj[gen]:
+                waiting[j] += 1
+                after[i].append(j)
+        last[gen] = j
+    ready = [(gen, -sign, j) for j, (gen, sign) in enumerate(letters)
+             if not waiting[j]]
+    heapq.heapify(ready)
     out = []
-    while rest:
-        best = None
-        for i, (gen, sign) in enumerate(rest):
-            if any((rest[k][0], gen) not in com for k in range(i)):
-                continue
-            key = (gen, 0 if sign == 1 else 1)
-            if best is None or key < best[0]:
-                best = (key, i)
-        i = best[1]
-        out.append(rest.pop(i))
+    while ready:
+        _, _, i = heapq.heappop(ready)
+        out.append(letters[i])
+        for j in after[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                gen, sign = letters[j]
+                heapq.heappush(ready, (gen, -sign, j))
     return out
 
 
@@ -179,19 +178,18 @@ def supported_in(w: GroupWord, verts) -> bool:
 
 @lru_cache(maxsize=None)
 def _coset_letters(g, base, letters):
+    """Strip, left to right, each letter of star(base) that commutes with
+    every letter kept before it.  A deletion never makes an earlier letter
+    strippable, and the stripped letters shuffle to the front, so one pass
+    leaves the shortest word of the coset."""
     st = graphs.star(g, base)
-    com = _commuting(g)
-    cur = _reduce(g, letters)
-    stripped = True
-    while stripped:
-        stripped = False
-        for i, (gen, _) in enumerate(cur):
-            if gen in st and all((cur[k][0], gen) in com for k in range(i)):
-                del cur[i]
-                cur = _reduce(g, cur)
-                stripped = True
-                break
-    return tuple(_lex_least(g, cur))
+    out, kept = [], set()
+    for gen, sign in _reduce(g, letters):
+        if gen in st and kept <= graphs.star(g, gen):
+            continue
+        out.append((gen, sign))
+        kept.add(gen)
+    return tuple(_lex_least(g, out))
 
 
 def coset_canonical(v: str, w: GroupWord) -> GroupWord:

@@ -51,6 +51,111 @@ def equal_oracle(g, u_letters, w_letters):
 
 
 # ---------------------------------------------------------------------------
+# word kernel: the restart-until-nothing-changes loops the one-pass kernel
+# replaced, kept verbatim as references
+
+def commuting_pairs(g):
+    pairs = set()
+    for v in g.vertices:
+        pairs.add((v, v))
+    for e in g.edges:
+        a, b = sorted(e)
+        pairs.add((a, b))
+        pairs.add((b, a))
+    return pairs
+
+
+def reduce_reference(g, letters):
+    """Delete cancelling pairs reachable by commuting swaps, to fixpoint."""
+    com = commuting_pairs(g)
+    letters = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        n = len(letters)
+        for i in range(n):
+            gi, si = letters[i]
+            for j in range(i + 1, n):
+                gj, sj = letters[j]
+                if gj == gi:
+                    if sj == -si:
+                        del letters[j]
+                        del letters[i]
+                        changed = True
+                    break
+                if (gj, gi) not in com:
+                    break
+            if changed:
+                break
+    return letters
+
+
+def lex_least_reference(g, letters):
+    """Least shuffle representative of a reduced sequence."""
+    com = commuting_pairs(g)
+    rest = list(letters)
+    out = []
+    while rest:
+        best = None
+        for i, (gen, sign) in enumerate(rest):
+            if any((rest[k][0], gen) not in com for k in range(i)):
+                continue
+            key = (gen, 0 if sign == 1 else 1)
+            if best is None or key < best[0]:
+                best = (key, i)
+        i = best[1]
+        out.append(rest.pop(i))
+    return out
+
+
+def normal_letters_reference(g, letters):
+    return tuple(lex_least_reference(g, reduce_reference(g, letters)))
+
+
+def coset_letters_reference(g, base, letters):
+    st = graphs.star(g, base)
+    com = commuting_pairs(g)
+    cur = reduce_reference(g, letters)
+    stripped = True
+    while stripped:
+        stripped = False
+        for i, (gen, _) in enumerate(cur):
+            if gen in st and all((cur[k][0], gen) in com for k in range(i)):
+                del cur[i]
+                cur = reduce_reference(g, cur)
+                stripped = True
+                break
+    return tuple(lex_least_reference(g, cur))
+
+
+def _last_letters(com, letters):
+    """{letter: index of its rightmost copy} for the letters of a reduced
+    word that shuffle to its end."""
+    out = {}
+    for i in range(len(letters) - 1, -1, -1):
+        let = letters[i]
+        if let not in out and all((x, let[0]) in com for x, _ in letters[i + 1:]):
+            out[let] = i
+    return out
+
+
+def join_reference(g, j, w):
+    """Least reduced word with both j and w as right factors, by peeling
+    common last letters one at a time."""
+    com = commuting_pairs(g)
+    rest, other = list(j), list(w)
+    while True:
+        lj, lo = _last_letters(com, rest), _last_letters(com, other)
+        common = lj.keys() & lo.keys()
+        if not common:
+            break
+        let = min(common)
+        del rest[lj[let]]
+        del other[lo[let]]
+    return normal_letters_reference(g, tuple(rest) + w)
+
+
+# ---------------------------------------------------------------------------
 # induced embeddings: all injective maps
 
 def embeddings_oracle(dom, cod):

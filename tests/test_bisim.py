@@ -24,6 +24,14 @@ def test_colored_graph_validation():
         CG("ab", [("a", "b")], {"a": "p1"})
 
 
+def test_colors_are_frozen():
+    assert PFP.color("y") == "f" and PFP.colors["x"] == "p1"
+    with pytest.raises(TypeError):
+        PFP.colors["x"] = "p2"
+    assert PFP == CG("xyz", [("x", "y"), ("y", "z")],
+                     {"x": "p1", "y": "f", "z": "p2"})
+
+
 def test_weak_covering_identity_and_violations():
     ident = {v: v for v in PFP.graph.vertices}
     assert bisim.check_weak_covering(ident, PFP, PFP) == (True, None)

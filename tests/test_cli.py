@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcqi import bisim, cli, graphs, ntrees
+from pcqi import bisim, classify, cli, graphs, ntrees
 
 from conftest import cycle, path
 
@@ -114,6 +114,19 @@ def test_classify_exit_codes(tmp_path, c5_file, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["classify"]["verdict"] == "QI" and data["consistent"]
+
+
+def test_classify_criterion_on_the_wedge_fixture(tmp_path, c5_file, capsys):
+    """The recorded wedge-of-C5s fact nests the class verdict it overrides;
+    the report prints it as JSON and exits 1 for NotQI."""
+    wedge = tmp_path / "wedge.json"
+    wedge.write_text(graphs.to_json(classify.wedge_of_c5s()))
+    code, out = run(["classify", "--a", c5_file, "--b", str(wedge),
+                     "--criterion", "--budget", "4"], capsys)
+    assert code == 1
+    verdict = json.loads(out)["classify"]
+    assert verdict["verdict"] == "NotQI" and verdict["class"] == "fixture"
+    assert verdict["certificate"]["verdict"] == "Unknown"
 
 
 def test_rigidity(c5_file, tmp_path, capsys):

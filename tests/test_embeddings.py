@@ -101,7 +101,7 @@ def test_doubling_levels_follow_the_vertex_budget(c5, monkeypatch):
     """The cached doubling family is keyed on the patch budget: a small
     budget in force earlier in the process does not stick."""
     def levels():
-        return [len(embeddings._doubling_level(c5, l, 300, patches.vertex_budget()))
+        return [len(embeddings._doubling_level(c5, l, patches.vertex_budget()))
                 for l in range(4)]
 
     budget = SearchBudget(max_depth=2)

@@ -26,6 +26,16 @@ def test_membership_matches_vertex_tuple(c5):
     assert c5 == cycle(5) and hash(c5) == hash(cycle(5))
 
 
+def test_adjacency_is_frozen_and_outside_equality(c5):
+    adj = graphs.adjacency(c5)
+    assert adj is c5.adjacency and adj["v1"] == {"v2", "v5"}
+    with pytest.raises(TypeError):
+        adj["v1"] = frozenset()
+    with pytest.raises(AttributeError):
+        adj["v1"].add("v3")
+    assert c5 == cycle(5) and hash(c5) == hash(cycle(5))
+
+
 def test_star_link_degree(c5):
     assert graphs.star(c5, "v1") == {"v1", "v2", "v5"}
     assert graphs.link(c5, "v1") == {"v2", "v5"}

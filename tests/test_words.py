@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcqi import graphs, words
+from pcqi import graphs, rigidity, words
 from pcqi.words import GroupWord
 
-from conftest import clique, cycle, edgeless, path
-from oracles import equal_oracle, reduced_class
+from conftest import clique, cycle, edgeless, path, random_graph
+from oracles import (coset_letters_reference, equal_oracle, join_reference,
+                     normal_letters_reference, reduce_reference, reduced_class)
 
 
 P3 = path(3)
@@ -117,6 +118,49 @@ def test_coset_canonical_properties(rng, c5):
                 (rng.choice(sorted(graphs.star(g, v))), rng.choice((1, -1)))
                 for _ in range(3)))
             assert words.coset_canonical(v, s * u) == rep
+
+
+def _kernel_graphs(rng, c5, petersen, count):
+    """C5, Petersen and random graphs on 1-7 vertices at every density."""
+    gs = [c5, petersen]
+    while len(gs) < count:
+        gs.append(random_graph(rng.randrange(1, 8), rng.random(), rng))
+    return gs
+
+
+def test_one_pass_kernel_matches_reference(rng, c5, petersen):
+    """Normal form, coset representative and reduced support agree with
+    the restart-until-nothing-changes kernel they replaced."""
+    checked = 0
+    for g in _kernel_graphs(rng, c5, petersen, 250):
+        for _ in range(40):
+            letters = _random_letters(rng, g, 40)
+            base = rng.choice(g.vertices)
+            assert words._normal_letters(g, letters) == \
+                normal_letters_reference(g, letters), (g, letters)
+            assert words._coset_letters(g, base, letters) == \
+                coset_letters_reference(g, base, letters), (g, base, letters)
+            assert words.reduced_support(g, letters) == \
+                {gen for gen, _ in reduce_reference(g, letters)}
+            checked += 1
+    assert checked == 10_000
+
+
+def test_join_matches_reference(rng, c5, petersen):
+    """The suffix-order join by one cancellation pass agrees with peeling
+    common last letters, on the coset representatives of one element (the
+    decomposition's case) and on unrelated reduced pairs."""
+    for g in _kernel_graphs(rng, c5, petersen, 100):
+        elem = GroupWord(g, _random_letters(rng, g, 20))
+        reps = [words.coset_canonical(v, elem).letters for v in g.vertices]
+        acc = ()
+        for rep in reps:
+            assert rigidity._join(g, acc, rep) == join_reference(g, acc, rep)
+            acc = rigidity._join(g, acc, rep)
+        for _ in range(20):
+            j, w = (words.normal_form(GroupWord(g, _random_letters(rng, g, 20))).letters
+                    for _ in range(2))
+            assert rigidity._join(g, j, w) == join_reference(g, j, w), (g, j, w)
 
 
 def test_power_endomorphism():
