@@ -4,6 +4,13 @@ and induced-subgraph search.
 Vertex names are opaque strings; the total order on vertices is
 lexicographic and fixed at construction.  All graphs are immutable and
 hashable, so derived data (adjacency maps) is stored on the graph.
+
+Induced-subgraph search is backtracking with forward checking: each
+unmatched domain vertex keeps a set of candidate images, first filtered
+by degree and then narrowed by every vertex mapped, and a branch is cut
+as soon as a set is empty.  Only branches with no embedding are cut, so
+the embeddings, and their order, are those of plain backtracking in the
+same domain and codomain orders.
 """
 
 from __future__ import annotations
@@ -158,7 +165,9 @@ def diameter(g):
 def girth(g):
     """Length of a shortest cycle, or None for forests.
 
-    BFS from every vertex; adequate well beyond desk scale.
+    BFS from every vertex.  A non-tree edge at u closes a walk through the
+    root of length at least 2·dist[u], so a root's search stops once that
+    reaches the best cycle already found.
     """
     adj = adjacency(g)
     best = None
@@ -167,6 +176,8 @@ def girth(g):
         queue = deque([root])
         while queue:
             u = queue.popleft()
+            if best is not None and 2 * dist[u] >= best:
+                break
             for w in adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
@@ -305,53 +316,61 @@ class GraphEmbedding:
         return dict(self.mapping)
 
 
-def _check_induced(dom, cod, mapping):
-    img = list(mapping.values())
-    if len(set(img)) != len(img):
-        return False
-    for u, v in itertools.combinations(mapping, 2):
-        if dom.has_edge(u, v) != cod.has_edge(mapping[u], mapping[v]):
-            return False
-    return True
-
-
 def find_induced_embeddings(dom, cod, limit=None):
-    """Backtracking enumeration of induced-subgraph embeddings dom -> cod.
+    """Induced-subgraph embeddings dom -> cod, at most `limit` of them, by
+    forward-checking backtracking.
 
     Domain vertices are matched in descending-degree order (ties broken
-    lexicographically); candidate images follow the codomain vertex
-    order, so the enumeration is deterministic.
+    lexicographically) and the images of each are tried in codomain vertex
+    order, so the enumeration is deterministic.  Every unmatched domain
+    vertex keeps a candidate set, a bit mask over the codomain vertices,
+    that starts as the vertices of at least its degree.  Mapping v -> c
+    narrows the set of each later vertex to the neighbours of c if it is a
+    neighbour of v, and to the non-neighbours of c otherwise, and removes c;
+    a branch stops as soon as a set is empty.  Both filters remove only
+    maps with no completion, so the embeddings come out in the same order
+    as a search that tries every codomain vertex and checks each mapped
+    pair, for every `limit`.
     """
     order = sorted(dom.vertices, key=lambda v: (-degree(dom, v), v))
-    dom_adj = adjacency(dom)
-    cod_adj = adjacency(cod)
+    dom_adj, cod_adj = adjacency(dom), adjacency(cod)
+    bit = {c: 1 << k for k, c in enumerate(cod.vertices)}
+    nbrs = [sum(bit[w] for w in cod_adj[c]) for c in cod.vertices]
+    fits = {d: sum(bit[c] for c in cod.vertices if len(cod_adj[c]) >= d)
+            for d in {len(dom_adj[v]) for v in order}}
+    # later[i][j]: is order[i + 1 + j] a neighbour of order[i]?
+    later = [[w in dom_adj[v] for w in order[i + 1:]] for i, v in enumerate(order)]
+    image = [None] * len(order)
     out = []
 
-    def extend(i, mapping, used):
-        if limit is not None and len(out) >= limit:
-            return
+    def extend(i, cands):
+        """Map order[i:] with cands[j] the candidates of order[i + j];
+        true once `limit` embeddings are found."""
         if i == len(order):
-            out.append(GraphEmbedding(dom, cod, tuple(sorted(mapping.items()))))
-            return
-        v = order[i]
-        nv = dom_adj[v]
-        for c in cod.vertices:
-            if c in used:
-                continue
-            nc = cod_adj[c]
-            ok = True
-            for u, cu in mapping.items():
-                if (u in nv) != (cu in nc):
-                    ok = False
+            out.append(GraphEmbedding(dom, cod, tuple(sorted(zip(order, image)))))
+            return limit is not None and len(out) >= limit
+        untried, rest, rows = cands[0], cands[1:], later[i]
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            k = low.bit_length() - 1
+            adj_c = nbrs[k]
+            non_adj_c = ~(adj_c | low)
+            narrowed = []
+            for m, is_nbr in zip(rest, rows):
+                m &= adj_c if is_nbr else non_adj_c
+                if not m:
                     break
-            if ok:
-                mapping[v] = c
-                used.add(c)
-                extend(i + 1, mapping, used)
-                del mapping[v]
-                used.discard(c)
+                narrowed.append(m)
+            else:
+                image[i] = cod.vertices[k]
+                if extend(i + 1, narrowed):
+                    return True
+        return False
 
-    extend(0, {}, set())
+    cands = [fits[len(dom_adj[v])] for v in order]
+    if (limit is None or limit > 0) and all(cands):
+        extend(0, cands)
     return out
 
 

@@ -168,6 +168,66 @@ def embeddings_oracle(dom, cod):
     return out
 
 
+def find_induced_embeddings_reference(dom, cod, limit=None):
+    """The plain backtracking search that forward checking replaced, kept
+    verbatim: it tries every codomain vertex for each domain vertex and
+    checks each mapped pair, so it pins the enumeration order as well as
+    the set."""
+    order = sorted(dom.vertices, key=lambda v: (-graphs.degree(dom, v), v))
+    dom_adj = graphs.adjacency(dom)
+    cod_adj = graphs.adjacency(cod)
+    out = []
+
+    def extend(i, mapping, used):
+        if limit is not None and len(out) >= limit:
+            return
+        if i == len(order):
+            out.append(graphs.GraphEmbedding(dom, cod, tuple(sorted(mapping.items()))))
+            return
+        v = order[i]
+        nv = dom_adj[v]
+        for c in cod.vertices:
+            if c in used:
+                continue
+            nc = cod_adj[c]
+            ok = True
+            for u, cu in mapping.items():
+                if (u in nv) != (cu in nc):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = c
+                used.add(c)
+                extend(i + 1, mapping, used)
+                del mapping[v]
+                used.discard(c)
+
+    extend(0, {}, set())
+    return out
+
+
+def girth_reference(g):
+    """Shortest cycle length by a full BFS from every vertex, with no
+    cut-off, or None for forests."""
+    adj = graphs.adjacency(g)
+    best = None
+    for root in g.vertices:
+        dist, parent = {root: 0}, {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cyc = dist[u] + dist[w] + 1
+                    if best is None or cyc < best:
+                        best = cyc
+    return best
+
+
 # ---------------------------------------------------------------------------
 # n-trees: recursive gluing per the generative definition
 

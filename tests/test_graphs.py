@@ -4,10 +4,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcqi import graphs
+from pcqi import embeddings, graphs, patches
 
 from conftest import all_trees, clique, cycle, edgeless, path, random_graph, star
-from oracles import embeddings_oracle
+from oracles import embeddings_oracle, find_induced_embeddings_reference, girth_reference
 
 
 def test_builder_sorts_and_validates():
@@ -54,6 +54,16 @@ def test_components_diameter_girth(c5, petersen):
     assert len(graphs.connected_components(two)) == 2
     assert graphs.diameter(two) is None
     assert graphs.girth(path(5)) is None
+
+
+def test_girth_matches_reference(rng, c5, petersen):
+    for _ in range(2000):
+        g = random_graph(rng.randrange(0, 13), rng.random(), rng)
+        assert graphs.girth(g) == girth_reference(g)
+    for g, depth in ((c5, 3), (petersen, 2)):
+        for p in patches.doubling_family(g, depth):
+            plain = patches.to_simplicial(p)
+            assert graphs.girth(plain) == girth_reference(plain)
 
 
 def test_shape_verdicts():
@@ -106,6 +116,31 @@ def test_embedding_search_matches_oracle(rng):
                      graphs.find_induced_embeddings(dom, cod))
         want = sorted(m.items() for m in embeddings_oracle(dom, cod))
         assert got == want
+
+
+def test_embedding_search_matches_reference_in_order(rng):
+    for _ in range(3000):
+        dom = random_graph(rng.randrange(0, 7), rng.random(), rng, "d")
+        cod = random_graph(rng.randrange(0, 10), rng.random(), rng, "c")
+        for limit in (None, 1, 3):
+            assert (graphs.find_induced_embeddings(dom, cod, limit)
+                    == find_induced_embeddings_reference(dom, cod, limit))
+
+
+def test_embedding_search_matches_reference_on_patches(path4):
+    budget = patches.vertex_budget()
+    trees = [t for n in range(1, 8) for t in all_trees(n)]
+    for level in range(3):
+        for p in embeddings._doubling_level(path4, level, budget):
+            plain = patches.to_simplicial(p)
+            for t in trees:
+                assert (graphs.find_induced_embeddings(t, plain, limit=1)
+                        == find_induced_embeddings_reference(t, plain, limit=1))
+    for g in (cycle(5), cycle(6)):
+        for p in patches.doubling_family(g, 1):
+            plain = patches.to_simplicial(p)
+            assert (graphs.find_induced_embeddings(g, plain)
+                    == find_induced_embeddings_reference(g, plain))
 
 
 def test_automorphism_counts(c5, petersen):

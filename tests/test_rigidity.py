@@ -133,6 +133,18 @@ def test_experiment_depth0_counts_automorphisms(c5, petersen):
     assert rep.failures == ()
 
 
+def test_experiment_depth0_cycles_under_relabelling():
+    rng = random.Random(14)
+    for n in range(9, 15):
+        for _ in range(5):
+            names = [f"v{i}" for i in range(1, n + 1)]
+            rng.shuffle(names)
+            g = graphs.graph(names, [(names[i], names[(i + 1) % n]) for i in range(n)])
+            rep = rigidity.rigidity_experiment(g, 0)
+            assert rep.embeddings_found == 2 * n                 # |Aut(Cn)|
+            assert rep.failures == ()
+
+
 def test_experiment_depth1_c5(c5):
     rep = rigidity.rigidity_experiment(c5, 1)
     assert rep.patch_count > 1
