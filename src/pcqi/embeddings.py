@@ -17,6 +17,7 @@ from .patches import ConjugateGenerator, Patch
 
 
 MAX_PATCHES_PER_LEVEL = 300
+LEVEL_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def _fresh_exponent(p: Patch, center):
                    if s[0] == "double" and s[1] == center)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
     """Patches reachable by exactly `level` doublings, deduplicated by
     vertex set across all shallower levels, smallest parents first, at

@@ -167,27 +167,34 @@ def girth(g):
 
     BFS from every vertex.  A non-tree edge at u closes a walk through the
     root of length at least 2·dist[u], so a root's search stops once that
-    reaches the best cycle already found.
+    reaches the best cycle already found.  Vertices are indexed once and
+    the searches run on lists; no cycle is longer than n, so n + 1 stands
+    for "none found".
     """
     adj = adjacency(g)
-    best = None
-    for root in g.vertices:
-        dist, parent = {root: 0}, {root: None}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[w] for w in adj[v]] for v in g.vertices]
+    n = len(nbrs)
+    best = n + 1
+    for root in range(n):
+        dist, parent = [-1] * n, [-1] * n
+        dist[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
+            du = dist[u]
+            if 2 * du >= best:
                 break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+            for w in nbrs[u]:
+                if dist[w] < 0:
+                    dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
                 elif parent[u] != w:
-                    cyc = dist[u] + dist[w] + 1
-                    if best is None or cyc < best:
+                    cyc = du + dist[w] + 1
+                    if cyc < best:
                         best = cyc
-    return best
+    return best if best <= n else None
 
 
 @dataclass(frozen=True)

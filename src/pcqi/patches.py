@@ -3,11 +3,18 @@
 A patch vertex is a conjugate generator v^g with g the canonical coset
 representative for the centralizer of v, so two patch vertices are equal
 as group elements exactly when their (base, conjugator) pairs coincide.
-Edges are derived by conjugation and audited by `recompute_edges`: a base
-or ball patch tests every pair through the word algebra, and a doubling
-carries the parent's edges over to the conjugated copy (conjugation is an
-automorphism of the extension graph), testing only the pairs with one end
-outside the copy and the other outside the parent.
+
+Edges are settled from the defining graph where it decides them, derived
+by conjugation otherwise, and audited by `recompute_edges`.  By Fact 1 of
+Kim–Koberda (*Embedability between right-angled Artin groups*, Geom.
+Topol. 2013, §3), v^g -> v is a graph homomorphism from the extension
+graph onto the defining graph: two distinct vertices can be adjacent only
+when their bases are, so `commute_cg` runs the word algebra only on pairs
+with adjacent bases.  A base or ball patch tests every pair; a doubling
+fixes the closed star of its center, carries the parent's edges over to
+the conjugated copy (conjugation is an automorphism of the extension
+graph), and tests only the pairs with one end outside the copy, the other
+outside the parent, and adjacent bases.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ from .words import GroupWord
 
 
 DEFAULT_VERTEX_BUDGET = 5000
+
+# Cache bounds: a long-lived process keeps at most this many entries.
+COMMUTE_CACHE_SIZE = 1 << 17
+BALL_CACHE_SIZE = 256
 
 
 def vertex_budget():
@@ -63,22 +74,42 @@ def conjugate_generator(g: SimplicialGraph, base: str, conj: GroupWord) -> Conju
     return ConjugateGenerator(base, words.coset_canonical(base, conj).letters)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMMUTE_CACHE_SIZE)
 def _commute_cg(g: SimplicialGraph, a: ConjugateGenerator, b: ConjugateGenerator) -> bool:
-    # u^x commutes with w^y  iff  conjugating both by x^-1 reduces to
-    # [u, w^(y x^-1)] = 1, i.e. membership of the shifted w, the raw word
-    # x y^-1 w y x^-1, in the parabolic centralizer of u, which is
-    # generated by the closed star: only its support after cancellation
-    # matters.
-    if a == b:
-        return True
+    # Called only on distinct, adjacent bases.  u^x commutes with w^y iff
+    # conjugating both by x^-1 reduces to [u, w^(y x^-1)] = 1, i.e.
+    # membership of the shifted w, the raw word x y^-1 w y x^-1, in the
+    # parabolic centralizer of u, which is generated by the closed star:
+    # only its support after cancellation matters.
     shifted = (a.conj + words.inverse_letters(b.conj) + ((b.base, 1),)
                + b.conj + words.inverse_letters(a.conj))
     return words.reduced_support(g, shifted) <= graphs.star(g, a.base)
 
 
 def commute_cg(g, a, b) -> bool:
-    """Extension-graph adjacency-or-equality test for two conjugate generators."""
+    """Extension-graph adjacency-or-equality test for two conjugate generators.
+
+    The defining graph settles two cases before the word algebra runs
+    (Fact 1 of Kim–Koberda, Geom. Topol. 2013, §3: v^g -> v is a graph
+    homomorphism from the extension graph onto the defining graph):
+
+    - Distinct bases u, w that are not adjacent: no conjugates commute.
+      Killing every other generator retracts the group onto <u, w>, a
+      free group of rank 2, and sends u^x, w^y to conjugates of u and w.
+      Commuting elements of a free group are powers of one element c,
+      but then c's image in the abelianisation Z^2 would be a rational
+      multiple of both (1, 0) and (0, 1).
+    - One base u: u^x commutes with u^y iff u^(y x^-1) lies in the
+      centralizer C(u) = <u> x <lk u>.  The only conjugate of u there is
+      u: killing every generator but those of lk u sends a conjugate of
+      u to 1, so its <lk u> factor is trivial, and its <u> factor is u
+      by the exponent sum.  So y x^-1 lies in C(u), the cosets C(u)x and
+      C(u)y agree, and the canonical conjugators make a equal to b.
+    """
+    if a.base == b.base:
+        return a == b
+    if b.base not in graphs.link(g, a.base):
+        return False
     key = (a, b) if a <= b else (b, a)
     return _commute_cg(g, *key)
 
@@ -139,19 +170,29 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     g = p.graph
     z = GroupWord(g, ((center.base, 1 if exponent > 0 else -1),) * abs(exponent))
     zc = words.conjugate(z, center.conj_word(g))    # (base^k)^conjugator
-    image = {cg: conjugate_generator(g, cg.base, cg.conj_word(g) * zc)
+    # The closed star of the center commutes with zc, and vertices are
+    # canonical, so it maps to itself without a coset computation.
+    fixed = {x for e in p.cg_edges if center in e for x in e} | {center}
+    image = {cg: cg if cg in fixed
+             else conjugate_generator(g, cg.base, cg.conj_word(g) * zc)
              for cg in p.cg_vertices}
     # Conjugation is an automorphism of the extension graph, so the copy's
     # edges are the parent's carried over.  Only pairs with one end outside
-    # the copy and the other outside the parent are left to test.
+    # the copy, the other outside the parent, and adjacent bases are left
+    # to test: other bases never commute (see `commute_cg`).
     in_copy = set(image.values())
     outside = [cg for cg in p.cg_vertices if cg not in in_copy]
     new = [cg for cg in dict.fromkeys(image.values()) if not p.has_vertex(cg)]
+    new_by_base = {}
+    for cg in new:
+        new_by_base.setdefault(cg.base, []).append(cg)
+    pairs = [(x, y) for x in outside for base in graphs.link(g, x.base)
+             for y in new_by_base.get(base, ())]
     carried = {frozenset(image[x] for x in e) for e in p.cg_edges}
     return _build(
         g, p.cg_vertices + tuple(new),
         p.provenance + (("double", center, exponent),),
-        edges=p.cg_edges | carried, pairs=itertools.product(outside, new),
+        edges=p.cg_edges | carried, pairs=pairs,
     )
 
 
@@ -181,7 +222,7 @@ def doubling_family(g: SimplicialGraph, depth: int) -> list:
     return family
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_conjugators(g: SimplicialGraph, base: str, radius: int):
     """Canonical coset representatives for C(base) of length <= radius,
     grouped by length.  Level l+1 reps all arise from level-l reps extended

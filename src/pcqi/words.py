@@ -25,6 +25,10 @@ class WordError(ValueError):
 # a letter is (generator, sign) with sign in {+1, -1}
 Letter = tuple
 
+# Cache bounds: a long-lived process keeps at most this many entries.
+NORMAL_CACHE_SIZE = 1 << 16
+COSET_CACHE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class GroupWord:
@@ -134,7 +138,7 @@ def _lex_least(g, letters):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=NORMAL_CACHE_SIZE)
 def _normal_letters(g, letters):
     return tuple(_lex_least(g, _reduce(g, letters)))
 
@@ -176,7 +180,7 @@ def supported_in(w: GroupWord, verts) -> bool:
     return support(w) <= frozenset(verts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COSET_CACHE_SIZE)
 def _coset_letters(g, base, letters):
     """Strip, left to right, each letter of star(base) that commutes with
     every letter kept before it.  A deletion never makes an earlier letter

@@ -229,6 +229,32 @@ def girth_reference(g):
 
 
 # ---------------------------------------------------------------------------
+# extension-graph edges: the word-algebra test on every pair, with no
+# short-circuit from the defining graph
+
+def commute_cg_reference(g, a, b):
+    """The edge-or-equality test before the defining graph settled any
+    pair, kept verbatim and uncached."""
+    # u^x commutes with w^y  iff  conjugating both by x^-1 reduces to
+    # [u, w^(y x^-1)] = 1, i.e. membership of the shifted w, the raw word
+    # x y^-1 w y x^-1, in the parabolic centralizer of u, which is
+    # generated by the closed star: only its support after cancellation
+    # matters.
+    if a == b:
+        return True
+    shifted = (a.conj + words.inverse_letters(b.conj) + ((b.base, 1),)
+               + b.conj + words.inverse_letters(a.conj))
+    return words.reduced_support(g, shifted) <= graphs.star(g, a.base)
+
+
+def patch_edges_reference(p):
+    """A patch's edges rebuilt pair by pair with `commute_cg_reference`."""
+    return frozenset(
+        frozenset((a, b)) for a, b in itertools.combinations(p.cg_vertices, 2)
+        if commute_cg_reference(p.graph, a, b))
+
+
+# ---------------------------------------------------------------------------
 # n-trees: recursive gluing per the generative definition
 
 def ntree_oracle(k: ntrees.NTreeComplex, _memo=None) -> bool:

@@ -1,13 +1,14 @@
 import itertools
+import json
 
 import pytest
 
-from pcqi import graphs, patches, words
+from pcqi import cli, embeddings, graphs, patches, words
 from pcqi.patches import ConjugateGenerator
 from pcqi.words import GroupWord
 
 from conftest import clique, cycle, path, random_graph
-from oracles import equal_oracle, reduced_class
+from oracles import equal_oracle, patch_edges_reference, reduced_class
 
 
 P3 = path(3)
@@ -131,10 +132,13 @@ def test_edges_always_recomputable(rng, c5):
 
 
 def test_doubled_edges_match_audit(c5, petersen):
-    """Edges carried over by conjugation equal edges recomputed pair by pair."""
-    for g, depth in ((c5, 2), (petersen, 1)):
+    """Edges settled from the defining graph, carried over by conjugation
+    and tested on adjacent bases equal edges rebuilt pair by pair with the
+    word algebra alone."""
+    for g, depth in ((c5, 3), (petersen, 2)):
         for p in patches.doubling_family(g, depth):
-            assert patches.recompute_edges(p).cg_edges == p.cg_edges
+            assert patch_edges_reference(p) == p.cg_edges
+            assert patches.recompute_edges(p) == p
 
 
 def test_doubled_edges_match_audit_random(rng):
@@ -147,7 +151,75 @@ def test_doubled_edges_match_audit_random(rng):
             if ("double", center, exponent) in p.provenance:
                 continue
             p = patches.double_along_star(p, center, exponent)
+            assert patch_edges_reference(p) == p.cg_edges
             assert patches.recompute_edges(p) == p
+
+
+def test_defining_graph_settles_same_and_nonadjacent_bases(rng):
+    """Fact 1 of Kim-Koberda: distinct conjugates of one generator, and
+    conjugates of two non-adjacent generators, never commute.  The word
+    oracle confirms it, and `commute_cg` answers without the word algebra."""
+    same = nonadjacent = 0
+    for _ in range(300):
+        g = random_graph(rng.randrange(2, 7), rng.random(), rng)
+        cgs = sorted({_random_cg(rng, g, 4) for _ in range(4)})
+        for a, b in itertools.combinations(cgs, 2):
+            if a.base != b.base and g.has_edge(a.base, b.base):
+                continue
+            ua, ub = a.as_word(g), b.as_word(g)
+            assert not equal_oracle(g, (ua * ub).letters, (ub * ua).letters)
+            misses = patches._commute_cg.cache_info().misses
+            assert not patches.commute_cg(g, a, b)
+            assert not patches.commute_cg(g, b, a)
+            assert patches._commute_cg.cache_info().misses == misses
+            same += a.base == b.base
+            nonadjacent += a.base != b.base
+    assert same > 100 and nonadjacent > 100
+
+
+def test_cross_edge_kept_when_the_copy_meets_only_the_star():
+    """P4 = z-p-a-b: the patch {z, a, b^(z^-1)} doubled at z meets its copy
+    only in the star of z, yet gains the cross edge a-b."""
+    g = graphs.graph("zpab", [("z", "p"), ("p", "a"), ("a", "b")])
+    z, a, b = (ConjugateGenerator(v, ()) for v in "zab")
+    p = patches._build(g, [z, a, cg(g, "b", "z^-1")], ())
+    assert p.cg_edges == frozenset()
+    d = patches.double_along_star(p, z, 1)
+    assert d.has_vertex(b) and frozenset((a, b)) in d.cg_edges
+    assert patch_edges_reference(d) == d.cg_edges
+
+
+R6 = graphs.graph([f"r{i}" for i in range(6)], [
+    ("r0", "r1"), ("r0", "r2"), ("r0", "r3"), ("r1", "r2"), ("r1", "r4"),
+    ("r1", "r5"), ("r2", "r5"), ("r3", "r4")])
+R6_STEPS = ["r2:-2", "r4^r2^-1 r2^-1:2", "r3:-1", "r2:2"]
+
+
+def test_cli_sequence_with_a_commuting_cross_pair(tmp_path, capsys):
+    """A `pcqi patch` sequence with mixed exponents whose last doubling has
+    a commuting cross pair."""
+    f = tmp_path / "r6.json"
+    f.write_text(graphs.to_json(R6))
+    argv = ["patch", "--graph", str(f)]
+    for step in R6_STEPS:
+        argv += ["--double", step]
+    assert cli.main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (len(data["vertices"]), len(data["edges"])) == (40, 69)
+    p = patches.base_patch(R6)
+    for step in R6_STEPS:
+        name, exponent = step.rsplit(":", 1)
+        p = patches.double_along_star(
+            p, patches.named_vertices(p)[name], int(exponent))
+    assert patches.patch_to_json(p) == data
+    assert patch_edges_reference(p) == p.cg_edges
+
+
+def test_caches_are_bounded():
+    for fn in (words._normal_letters, words._coset_letters,
+               patches._commute_cg, patches._ball_conjugators,
+               embeddings._doubling_level):
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
 
 def test_has_vertex_matches_vertex_tuple(c5):
