@@ -173,6 +173,16 @@ def all_quotients(cg: ColoredGraph):
     return out
 
 
+def _witness(a: ColoredGraph, ma, iso, qb: ColoredGraph, mb):
+    """The common quotient qb with a's covering map composed through the
+    quotient isomorphism iso, and b's covering map."""
+    return {
+        "quotient": qb,
+        "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
+        "map_b": dict(mb),
+    }
+
+
 def bisimilar(a: ColoredGraph, b: ColoredGraph):
     """(True, witness) with a common quotient and both covering maps, or
     (False, None).
@@ -187,11 +197,7 @@ def bisimilar(a: ColoredGraph, b: ColoredGraph):
         iso = colored_isomorphic(qa, qb)
         if iso is None:
             return False, None
-        return True, {
-            "quotient": qb,
-            "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
-            "map_b": dict(mb),
-        }
+        return True, _witness(a, ma, iso, qb, mb)
     if max(a.graph.n, b.graph.n) > 8:
         raise BisimError("monochrome edges on a graph too large for the "
                          "exhaustive fallback")
@@ -199,11 +205,7 @@ def bisimilar(a: ColoredGraph, b: ColoredGraph):
         for qb, mb in all_quotients(b):
             iso = colored_isomorphic(qa, qb)
             if iso is not None:
-                return True, {
-                    "quotient": qb,
-                    "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
-                    "map_b": dict(mb),
-                }
+                return True, _witness(a, ma, iso, qb, mb)
     return False, None
 
 
@@ -218,14 +220,31 @@ def recolor(cg: ColoredGraph, perm: dict) -> ColoredGraph:
 
 def bisimilar_up_to_pcolor_permutation(a: ColoredGraph, b: ColoredGraph, n: int):
     """Try every permutation of the piece colors p1..p{n+1} on the first
-    graph; (True, permutation, witness) on the first success."""
+    graph; (True, permutation, witness) on the first success.
+
+    A bijective renaming of colors keeps the coarsest stable partition,
+    and quotient vertices are named by class contents, so the minimal
+    quotient of a recolored graph is the recolored quotient with the same
+    map.  Properly colored inputs therefore take each quotient once and
+    test only the recolored quotients for isomorphism; inputs with
+    monochrome edges run `bisimilar` per permutation.
+    """
     palette = [f"p{i}" for i in range(1, n + 2)]
     for cg in (a, b):
         bad = set(cg.colors.values()) - set(palette) - {"f"}
         if bad:
             raise BisimError(f"unexpected colors {sorted(bad)}")
-    for images in itertools.permutations(palette):
-        perm = dict(zip(palette, images))
+    perms = (dict(zip(palette, images))
+             for images in itertools.permutations(palette))
+    if properly_colored(a) and properly_colored(b):
+        qa, ma = minimal_quotient(a)
+        qb, mb = minimal_quotient(b)
+        for perm in perms:
+            iso = colored_isomorphic(recolor(qa, perm), qb)
+            if iso is not None:
+                return True, perm, _witness(a, ma, iso, qb, mb)
+        return False, None, None
+    for perm in perms:
         ok, witness = bisimilar(recolor(a, perm), b)
         if ok:
             return True, perm, witness

@@ -39,10 +39,23 @@ class QIVerdict:
         cert = self.certificate
         if isinstance(cert, QIVerdict):
             cert = cert.to_json()
+        elif self.klass == "ntree" and self.verdict != "Unknown":
+            cert = _ntree_certificate_json(*cert)
         elif isinstance(cert, (dict, tuple)):
             cert = repr(cert)
         return {"verdict": self.verdict, "class": self.klass,
                 "certificate": cert, "explanation": self.explanation}
+
+
+def _ntree_certificate_json(perm, witness):
+    """The p-color permutation and the bisimilarity witness of an n-tree
+    verdict as JSON data, or None when the gphs are not bisimilar."""
+    if witness is None:
+        return None
+    return {"permutation": perm,
+            "quotient": json.loads(bisim.colored_to_json(witness["quotient"])),
+            "map_a": witness["map_a"],
+            "map_b": witness["map_b"]}
 
 
 def universal_vertices(g: SimplicialGraph):

@@ -153,9 +153,17 @@ def _bfs_dist(g, source):
 
 
 def diameter(g):
-    """Exact diameter, or None when g is disconnected or empty."""
+    """Exact diameter, or None when g is disconnected or empty.
+
+    A tree takes two BFS sweeps: in a tree the vertex farthest from any
+    vertex ends a longest path, so the eccentricity of that vertex is the
+    diameter.  Other graphs take the eccentricity of every vertex.
+    """
     if g.n == 0 or not is_connected(g):
         return None
+    if len(g.edges) == g.n - 1:
+        far = _bfs_dist(g, g.vertices[0])
+        return max(_bfs_dist(g, max(far, key=far.get)).values())
     best = 0
     for v in g.vertices:
         best = max(best, max(_bfs_dist(g, v).values()))

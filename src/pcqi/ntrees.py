@@ -2,13 +2,23 @@
 (n-1)-simplices, their pieces, vertex coloring, the labelled bipartite
 invariant graph, doubling, and the constructive embedding of an n-tree
 into the extension graph of one it weakly covers.
+
+The derivations of a complex (skeleton, shared faces, validity, coloring,
+pieces, invariant graph) are cached on the complex's value in small
+bounded caches, so a complex rebuilt equal elsewhere (as `classify`
+rebuilds one from its skeleton) is derived once.  Cached results are
+read-only: mappings are `MappingProxyType`, face sets `frozenset` and
+piece lists `tuple`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import bisim, graphs, patches, words
 from .graphs import SimplicialGraph
@@ -17,6 +27,12 @@ from .words import GroupWord
 
 class NTreeError(ValueError):
     pass
+
+
+# One pipeline step touches a domain, a codomain, a double and the
+# complexes rebuilt from their skeletons; a larger cache only holds more
+# dead complexes.
+NTREE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -41,6 +57,7 @@ def complex_(n, simplices) -> NTreeComplex:
     return NTreeComplex(n, frozenset(frozenset(map(str, s)) for s in simplices))
 
 
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
 def skeleton(k: NTreeComplex) -> SimplicialGraph:
     edges = set()
     for s in k.simplices:
@@ -48,16 +65,24 @@ def skeleton(k: NTreeComplex) -> SimplicialGraph:
     return graphs.graph(k.vertices, [tuple(e) for e in edges])
 
 
-def shared_faces(k: NTreeComplex):
-    """(n-1)-simplices bounding at least two n-simplices, with the
-    simplices they bound."""
+def _faces(s, n):
+    """The (n-1)-faces of an n-simplex."""
+    return (frozenset(f) for f in itertools.combinations(s, n))
+
+
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
+def shared_faces(k: NTreeComplex) -> MappingProxyType:
+    """(n-1)-simplices bounding at least two n-simplices, mapped to the
+    frozenset of simplices they bound."""
     bound = {}
     for s in k.simplices:
-        for f in itertools.combinations(sorted(s), k.n):
-            bound.setdefault(frozenset(f), set()).add(s)
-    return {f: fs for f, fs in bound.items() if len(fs) >= 2}
+        for f in _faces(s, k.n):
+            bound.setdefault(f, set()).add(s)
+    return MappingProxyType({f: frozenset(fs) for f, fs in bound.items()
+                             if len(fs) >= 2})
 
 
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
 def validate_ntree(k: NTreeComplex):
     """(True, None) iff k is buildable by gluing n-simplices along
     (n-1)-simplices.
@@ -70,28 +95,33 @@ def validate_ntree(k: NTreeComplex):
     gluing-sequence oracle in the tests; mere acyclicity of the
     simplex/face incidence is not enough, since distant simplices may
     share stray vertices.
+
+    Each round peels the first outer simplex in sorted order.  Counts of
+    the remaining simplices at each vertex and (n-1)-face stand in for the
+    union of the rest: s meets the others in the vertices counted more
+    than once, and that face is carried by another simplex iff its count
+    exceeds one.
     """
     if not k.simplices:
         return False, "no simplices"
-    simps = set(k.simplices)
-    while len(simps) > 1:
-        peelable = None
-        for s in sorted(simps, key=sorted):
-            rest = simps - {s}
-            rest_vs = set().union(*rest)
-            shared = s & rest_vs
-            if len(shared) != k.n:
-                continue
-            if any(shared <= t for t in rest):
-                peelable = s
+    order = sorted(k.simplices, key=sorted)
+    at_vertex = Counter(v for s in order for v in s)
+    at_face = Counter(f for s in order for f in _faces(s, k.n))
+    while len(order) > 1:
+        for i, s in enumerate(order):
+            shared = frozenset(v for v in s if at_vertex[v] > 1)
+            if len(shared) == k.n and at_face[shared] > 1:
                 break
-        if peelable is None:
+        else:
             return False, "no outer simplex to peel off"
-        simps.discard(peelable)
+        del order[i]
+        at_vertex.subtract(s)
+        at_face.subtract(_faces(s, k.n))
     return True, None
 
 
-def vertex_coloring(k: NTreeComplex) -> dict:
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
+def vertex_coloring(k: NTreeComplex) -> MappingProxyType:
     """Colors 1..n+1 with every n-simplex receiving each color once.
 
     Deterministic: the lexicographically least simplex seeds the identity
@@ -127,7 +157,7 @@ def vertex_coloring(k: NTreeComplex) -> dict:
         frontier = nxt
     if done != set(k.simplices):
         raise NTreeError("coloring propagation did not reach every simplex")
-    return colors
+    return MappingProxyType(colors)
 
 
 @dataclass(frozen=True)
@@ -139,13 +169,14 @@ class Piece:
         return [self.spine | {t} for t in sorted(self.tips)]
 
 
-def pieces(k: NTreeComplex):
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
+def pieces(k: NTreeComplex) -> tuple:
     """Stars of (n-1)-simplices bounding at least two n-simplices."""
-    return sorted(
+    return tuple(sorted(
         (Piece(f, frozenset(next(iter(s - f)) for s in fs))
          for f, fs in shared_faces(k).items()),
         key=lambda p: tuple(sorted(p.spine)),
-    )
+    ))
 
 
 def _pid(piece):
@@ -156,6 +187,7 @@ def _fid(simplex):
     return "f:" + ",".join(sorted(simplex))
 
 
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
 def build_gph(k: NTreeComplex) -> bisim.ColoredGraph:
     """The labelled bipartite tree with one p-vertex per piece (labelled by
     the color missing from its spine) and one f-vertex per n-simplex lying

@@ -206,6 +206,25 @@ def find_induced_embeddings_reference(dom, cod, limit=None):
     return out
 
 
+def diameter_reference(g):
+    """Exact diameter by BFS from every vertex, or None when g is
+    disconnected or empty."""
+    if g.n == 0 or not graphs.is_connected(g):
+        return None
+    best = 0
+    for v in g.vertices:
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in graphs.adjacency(g)[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        best = max(best, max(dist.values()))
+    return best
+
+
 def girth_reference(g):
     """Shortest cycle length by a full BFS from every vertex, with no
     cut-off, or None for forests."""
@@ -299,6 +318,30 @@ def ntree_oracle(k: ntrees.NTreeComplex, _memo=None) -> bool:
     return ok
 
 
+def validate_ntree_reference(k: ntrees.NTreeComplex):
+    """The peeling test before per-vertex and per-face counts replaced the
+    union of the rest, kept verbatim: each round re-sorts the simplices and
+    rebuilds the union of the others for every candidate."""
+    if not k.simplices:
+        return False, "no simplices"
+    simps = set(k.simplices)
+    while len(simps) > 1:
+        peelable = None
+        for s in sorted(simps, key=sorted):
+            rest = simps - {s}
+            rest_vs = set().union(*rest)
+            shared = s & rest_vs
+            if len(shared) != k.n:
+                continue
+            if any(shared <= t for t in rest):
+                peelable = s
+                break
+        if peelable is None:
+            return False, "no outer simplex to peel off"
+        simps.discard(peelable)
+    return True, None
+
+
 def generate_ntrees(n, max_simplices, rng, count):
     """Random members of the class, built generatively; each is valid by
     construction."""
@@ -376,6 +419,23 @@ def bisimilar_oracle(a: bisim.ColoredGraph, b: bisim.ColoredGraph) -> bool:
         if any(_iso_oracle(qa, qb) for qb in qs_b):
             return True
     return False
+
+
+def bisimilar_up_to_pcolor_permutation_reference(a, b, n):
+    """The permutation loop before quotients were taken once per side,
+    kept verbatim: `bisim.bisimilar` on the recolored first graph for each
+    permutation, both quotients recomputed every time."""
+    palette = [f"p{i}" for i in range(1, n + 2)]
+    for cg in (a, b):
+        bad = set(cg.colors.values()) - set(palette) - {"f"}
+        if bad:
+            raise bisim.BisimError(f"unexpected colors {sorted(bad)}")
+    for images in itertools.permutations(palette):
+        perm = dict(zip(palette, images))
+        ok, witness = bisim.bisimilar(bisim.recolor(a, perm), b)
+        if ok:
+            return True, perm, witness
+    return False, None, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from pcqi import bisim, graphs, ntrees
 
 from conftest import random_graph
-from oracles import bisimilar_oracle
+from oracles import (bisimilar_oracle, bisimilar_up_to_pcolor_permutation_reference,
+                     generate_ntrees)
+from test_acceptance import random_tree
 
 
 def CG(vertices, edges, colors):
@@ -142,6 +145,83 @@ def test_pcolor_permutation():
     with pytest.raises(bisim.BisimError):
         bisim.bisimilar_up_to_pcolor_permutation(
             CG("a", [], {"a": "q9"}), SINGLE, 1)
+
+
+def test_pcolor_permutation_matches_reference_on_ntrees(rng):
+    """Quotients once per side give the per-permutation loop's
+    (ok, permutation, witness) on n-tree gphs, n = 1-3, against random
+    partners and against doubles."""
+    outcomes = set()
+    for n in (1, 2, 3):
+        ks = generate_ntrees(n, 6, rng, 30)
+        for i, k in enumerate(ks):
+            v = rng.choice(sorted(k.vertices))
+            d, _ = ntrees.double_ntree(k, v)
+            for other in (ks[(i + 1) % len(ks)], d):
+                a, b = ntrees.build_gph(k), ntrees.build_gph(other)
+                got = bisim.bisimilar_up_to_pcolor_permutation(a, b, n)
+                assert got == bisimilar_up_to_pcolor_permutation_reference(a, b, n)
+                outcomes.add((n, got[0], got[1] is not None and
+                              got[1] != {c: c for c in got[1]}))
+    for n in (1, 2, 3):
+        assert (n, True, True) in outcomes and (n, False, False) in outcomes
+
+
+def test_pcolor_permutation_matches_reference_on_criterion_8_trees():
+    """The tree pairs of acceptance criterion 8, drawn the same way."""
+    def gph(t):
+        return ntrees.build_gph(ntrees.complex_(1, [tuple(e) for e in t.edges]))
+
+    rng = random.Random(108)
+    pairs = []
+    while len(pairs) < 50:
+        t1 = random_tree(rng.randrange(4, 11), rng, "a")
+        t2 = random_tree(rng.randrange(4, 11), rng, "b")
+        if graphs.diameter(t1) >= 3 and graphs.diameter(t2) >= 3:
+            pairs.append((t1, t2))
+    for k in (2, 3, 5):
+        star_k = graphs.graph(["c"] + [f"l{i}" for i in range(k)],
+                              [("c", f"l{i}") for i in range(k)])
+        deep = random_tree(8, rng, "d")
+        while graphs.diameter(deep) < 3:
+            deep = random_tree(8, rng, "d")
+        pairs.append((star_k, deep))
+    for t1, t2 in pairs:
+        a, b = gph(t1), gph(t2)
+        assert (bisim.bisimilar_up_to_pcolor_permutation(a, b, 1)
+                == bisimilar_up_to_pcolor_permutation_reference(a, b, 1))
+
+
+def test_pcolor_permutation_monochrome_edges_match_reference():
+    mono = CG("ab", [("a", "b")], {"a": "p1", "b": "p1"})
+    for a, b in ((mono, mono), (mono, PFP), (PFP, mono)):
+        assert (bisim.bisimilar_up_to_pcolor_permutation(a, b, 1)
+                == bisimilar_up_to_pcolor_permutation_reference(a, b, 1))
+
+
+def test_minimal_quotient_commutes_with_recoloring(rng):
+    """For a bijective color renaming pi, the minimal quotient of the
+    recolored graph is the recolored minimal quotient, with the same map."""
+    checked = 0
+    while checked < 300:
+        g = random_graph(rng.randrange(1, 10), rng.random(), rng)
+        palette = [f"p{i}" for i in range(1, rng.randrange(2, 5))] + ["f"]
+        colors = {}
+        for v in g.vertices:
+            free = [c for c in palette
+                    if all(colors.get(u) != c for u in graphs.link(g, v))]
+            if not free:
+                break
+            colors[v] = rng.choice(free)
+        else:
+            cg = bisim.colored_graph(g, colors)
+            q, qmap = bisim.minimal_quotient(cg)
+            images = palette[:]
+            rng.shuffle(images)
+            pi = dict(zip(palette, images))
+            assert bisim.minimal_quotient(bisim.recolor(cg, pi)) == (
+                bisim.recolor(q, pi), qmap)
+            checked += 1
 
 
 def test_json_roundtrip():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +99,37 @@ def test_gph_and_bisim(tmp_path, capsys):
     code, out = run(["bisim", "--a", str(cg), "--b", str(cg), "--n", "1"],
                     capsys)
     assert code == 0 and json.loads(out)["bisimilar"]
+
+
+def test_ntree_certificate_is_independent_of_hash_seed(tmp_path):
+    """The ntree certificate is JSON data (permutation, quotient, both
+    covering maps), so a 2-tree against its double prints the same bytes
+    under every PYTHONHASHSEED."""
+    k = ntrees.complex_(2, ["abc", "bcd", "cde"])
+    d, _ = ntrees.double_ntree(k, "a")
+    (tmp_path / "k.json").write_text(graphs.to_json(ntrees.skeleton(k)))
+    (tmp_path / "d.json").write_text(graphs.to_json(ntrees.skeleton(d)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ntrees.__file__)))
+    outs = set()
+    for seed in ("1", "2", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcqi.cli", "classify", "--a", "d.json",
+             "--b", "k.json"], cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    cert = json.loads(outs.pop())["certificate"]
+    assert sorted(cert) == ["map_a", "map_b", "permutation", "quotient"]
+    assert set(cert["map_a"].values()) == set(cert["quotient"]["vertices"])
+
+
+def test_ntree_certificate_is_null_when_not_qi():
+    verdict = classify.classify_pair(
+        ntrees.skeleton(ntrees.complex_(2, ["abc", "bcd"])),
+        ntrees.skeleton(ntrees.complex_(2, ["abc", "bcd", "cde"])))
+    assert verdict.klass == "ntree" and verdict.verdict == "NotQI"
+    assert verdict.to_json()["certificate"] is None
 
 
 def test_classify_exit_codes(tmp_path, c5_file, capsys):

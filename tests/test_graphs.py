@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from pcqi import embeddings, graphs, patches
 
 from conftest import all_trees, clique, cycle, edgeless, path, random_graph, star
-from oracles import embeddings_oracle, find_induced_embeddings_reference, girth_reference
+from oracles import (diameter_reference, embeddings_oracle,
+                     find_induced_embeddings_reference, girth_reference)
+from test_acceptance import random_tree
 
 
 def test_builder_sorts_and_validates():
@@ -64,6 +66,27 @@ def test_girth_matches_reference(rng, c5, petersen):
         for p in patches.doubling_family(g, depth):
             plain = patches.to_simplicial(p)
             assert graphs.girth(plain) == girth_reference(plain)
+
+
+def test_diameter_matches_reference(rng):
+    """Two sweeps on trees, all pairs elsewhere: the same diameters as BFS
+    from every vertex, None on empty and disconnected graphs."""
+    trees = 0
+    for _ in range(2000):
+        n = rng.randrange(0, 13)
+        if rng.random() < 0.5 and n:
+            g = random_tree(n, rng)
+            # shuffle names so the first vertex is not always the root
+            names = [f"r{i}" for i in range(n)]
+            rng.shuffle(names)
+            g = graphs.graph(names, [(names[int(a[1:])], names[int(b[1:])])
+                                     for a, b in map(tuple, g.edges)])
+            assert graphs.is_tree(g)
+            trees += 1
+        else:
+            g = random_graph(n, rng.random(), rng)
+        assert graphs.diameter(g) == diameter_reference(g)
+    assert trees > 500
 
 
 def test_shape_verdicts():

@@ -1,10 +1,11 @@
 import itertools
+from types import MappingProxyType
 
 import pytest
 
-from pcqi import bisim, embeddings, graphs, ntrees
+from pcqi import bisim, classify, embeddings, graphs, ntrees
 
-from oracles import generate_ntrees, ntree_oracle
+from oracles import generate_ntrees, ntree_oracle, validate_ntree_reference
 
 
 def K(n, *simplices):
@@ -54,6 +55,63 @@ def test_validate_matches_gluing_oracle(rng):
             assert ntrees.validate_ntree(k)[0] == ntree_oracle(k)
             agree += 1
         assert agree == 40
+
+
+def test_validate_matches_reference(rng):
+    """Count-based peeling gives the old union-of-the-rest peeling's
+    (ok, reason) on valid complexes, valid ones with a simplex added or
+    removed, and random candidates."""
+    cases = valid = 0
+    for n in (1, 2, 3):
+        pool = [f"g{i}" for i in range(n + 5)]
+        candidates = []
+        for k in generate_ntrees(n, 8, rng, 250):
+            extra = frozenset(rng.sample(sorted(k.vertices | set(pool)), n + 1))
+            candidates += [k, ntrees.NTreeComplex(n, k.simplices | {extra})]
+            if len(k.simplices) > 1:
+                drop = rng.choice(sorted(k.simplices, key=sorted))
+                candidates.append(ntrees.NTreeComplex(n, k.simplices - {drop}))
+        for _ in range(250):
+            candidates.append(ntrees.NTreeComplex(n, frozenset(
+                frozenset(rng.sample(pool, n + 1))
+                for _ in range(rng.randrange(0, 7)))))
+        for k in candidates:
+            got = ntrees.validate_ntree.__wrapped__(k)
+            assert got == validate_ntree_reference(k), sorted(map(sorted, k.simplices))
+            cases += 1
+            valid += got[0]
+    assert cases >= 2000 and 0 < valid < cases
+
+
+def test_cached_results_are_read_only():
+    faces = ntrees.shared_faces(TWO_TRIANGLES)
+    assert isinstance(faces, MappingProxyType)
+    assert all(isinstance(fs, frozenset) for fs in faces.values())
+    col = ntrees.vertex_coloring(PATH4)
+    assert isinstance(col, MappingProxyType)
+    with pytest.raises(TypeError):
+        col["a"] = 2
+    with pytest.raises(TypeError):
+        faces[frozenset("bc")] = frozenset()
+    assert isinstance(ntrees.pieces(PATH5), tuple)
+    assert ntrees.vertex_coloring(PATH4)["a"] == 1
+
+
+def test_equal_complex_gets_equal_results(rng):
+    """A complex equal to a cached one but built separately (from strings,
+    or by classify from its skeleton) hits the cache, and every cached
+    derivation equals a fresh, uncached one."""
+    derivations = (ntrees.skeleton, ntrees.shared_faces, ntrees.validate_ntree,
+                   ntrees.vertex_coloring, ntrees.pieces, ntrees.build_gph)
+    for n in (1, 2, 3):
+        for k in generate_ntrees(n, 6, rng, 5):
+            first = [fn(k) for fn in derivations]
+            rebuilt = ntrees.complex_(n, [sorted(s) for s in k.simplices])
+            again = classify.ntree_complex_of(ntrees.skeleton(k))
+            assert rebuilt == k == again and rebuilt is not k
+            for fn, want in zip(derivations, first):
+                assert fn(rebuilt) == want == fn.__wrapped__(again), fn.__name__
+                assert fn(again) is want, fn.__name__
 
 
 def test_vertex_coloring():

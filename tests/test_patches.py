@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pcqi import cli, embeddings, graphs, patches, words
+from pcqi import cli, embeddings, graphs, ntrees, patches, words
 from pcqi.patches import ConjugateGenerator
 from pcqi.words import GroupWord
 
@@ -218,7 +218,9 @@ def test_cli_sequence_with_a_commuting_cross_pair(tmp_path, capsys):
 def test_caches_are_bounded():
     for fn in (words._normal_letters, words._coset_letters,
                patches._commute_cg, patches._ball_conjugators,
-               embeddings._doubling_level):
+               embeddings._doubling_level, ntrees.skeleton, ntrees.shared_faces,
+               ntrees.validate_ntree, ntrees.vertex_coloring, ntrees.pieces,
+               ntrees.build_gph):
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
 
