@@ -97,6 +97,14 @@ def _stable_partition(cg: ColoredGraph):
         block = new
 
 
+def _class_name(vs) -> str:
+    """The quotient-vertex name of a class: its sorted members joined by
+    `|`, with `\\` and `|` inside a member escaped by a backslash so that
+    distinct classes never share a name."""
+    return "|".join(v.replace("\\", "\\\\").replace("|", "\\|")
+                    for v in sorted(vs))
+
+
 def minimal_quotient(cg: ColoredGraph):
     """(quotient ColoredGraph, vertex -> quotient-vertex map).
 
@@ -111,7 +119,7 @@ def minimal_quotient(cg: ColoredGraph):
     classes = {}
     for v, b in block.items():
         classes.setdefault(b, []).append(v)
-    qname = {b: "|".join(sorted(vs)) for b, vs in classes.items()}
+    qname = {b: _class_name(vs) for b, vs in classes.items()}
     qmap = {v: qname[block[v]] for v in cg.graph.vertices}
     qedges = {frozenset((qmap[a], qmap[b]))
               for e in cg.graph.edges for a, b in [tuple(e)]
@@ -162,7 +170,7 @@ def all_quotients(cg: ColoredGraph):
         if any(cg.graph.has_edge(u, v) for cls in part
                for u, v in itertools.combinations(cls, 2)):
             continue
-        qname = {v: "|".join(sorted(cls)) for cls in part for v in cls}
+        qname = {v: _class_name(cls) for cls in part for v in cls}
         qedges = {frozenset((qname[x], qname[y]))
                   for e in cg.graph.edges for x, y in [tuple(e)]}
         qgraph = graphs.graph(set(qname.values()), [tuple(e) for e in qedges])
@@ -173,82 +181,61 @@ def all_quotients(cg: ColoredGraph):
     return out
 
 
-def _witness(a: ColoredGraph, ma, iso, qb: ColoredGraph, mb):
-    """The common quotient qb with a's covering map composed through the
-    quotient isomorphism iso, and b's covering map."""
-    return {
-        "quotient": qb,
-        "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
-        "map_b": dict(mb),
-    }
-
-
-def bisimilar(a: ColoredGraph, b: ColoredGraph):
-    """(True, witness) with a common quotient and both covering maps, or
-    (False, None).
-
-    Properly colored inputs are decided by comparing coarsest stable
-    quotients; inputs with monochrome edges fall back to an exhaustive
-    search over quotient pairs, feasible only for small graphs.
-    """
-    if properly_colored(a) and properly_colored(b):
-        qa, ma = minimal_quotient(a)
-        qb, mb = minimal_quotient(b)
-        iso = colored_isomorphic(qa, qb)
-        if iso is None:
-            return False, None
-        return True, _witness(a, ma, iso, qb, mb)
-    if max(a.graph.n, b.graph.n) > 8:
-        raise BisimError("monochrome edges on a graph too large for the "
-                         "exhaustive fallback")
-    for qa, ma in all_quotients(a):
-        for qb, mb in all_quotients(b):
-            iso = colored_isomorphic(qa, qb)
-            if iso is not None:
-                return True, _witness(a, ma, iso, qb, mb)
-    return False, None
-
-
-def p_colors(cg: ColoredGraph):
-    return sorted({c for c in cg.colors.values() if c != "f"})
-
-
 def recolor(cg: ColoredGraph, perm: dict) -> ColoredGraph:
     return colored_graph(cg.graph,
                          {v: perm.get(c, c) for v, c in cg.colors.items()})
 
 
+def _first_common_quotient(a: ColoredGraph, b: ColoredGraph, perms):
+    """(True, perm, witness) for the first `perm` in `perms` and quotient
+    pair (qa, qb) with qa recolored by `perm` colored-isomorphic to qb, else
+    (False, None, None).
+
+    The quotients are the minimal ones when both inputs are properly
+    colored, and all of them otherwise (exhaustive, small graphs only).
+    Each side's are taken once: a bijective color renaming keeps every
+    partition and weak covering, and quotient vertices are named by class
+    contents, so the recolored quotients are the recolored graph's.
+    """
+    if properly_colored(a) and properly_colored(b):
+        quotients_a, quotients_b = [minimal_quotient(a)], [minimal_quotient(b)]
+    elif max(a.graph.n, b.graph.n) > 8:
+        raise BisimError("monochrome edges on a graph too large for the "
+                         "exhaustive fallback")
+    else:
+        quotients_a, quotients_b = all_quotients(a), all_quotients(b)
+    for perm in perms:
+        for qa, ma in quotients_a:
+            recolored = recolor(qa, perm)
+            for qb, mb in quotients_b:
+                iso = colored_isomorphic(recolored, qb)
+                if iso is not None:
+                    return True, perm, {
+                        "quotient": qb,
+                        "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
+                        "map_b": dict(mb),
+                    }
+    return False, None, None
+
+
+def bisimilar(a: ColoredGraph, b: ColoredGraph):
+    """(True, witness) with a common quotient and both covering maps, or
+    (False, None)."""
+    ok, _, witness = _first_common_quotient(a, b, [{}])
+    return ok, witness
+
+
 def bisimilar_up_to_pcolor_permutation(a: ColoredGraph, b: ColoredGraph, n: int):
     """Try every permutation of the piece colors p1..p{n+1} on the first
-    graph; (True, permutation, witness) on the first success.
-
-    A bijective renaming of colors keeps the coarsest stable partition,
-    and quotient vertices are named by class contents, so the minimal
-    quotient of a recolored graph is the recolored quotient with the same
-    map.  Properly colored inputs therefore take each quotient once and
-    test only the recolored quotients for isomorphism; inputs with
-    monochrome edges run `bisimilar` per permutation.
-    """
+    graph; (True, permutation, witness) on the first success."""
     palette = [f"p{i}" for i in range(1, n + 2)]
     for cg in (a, b):
         bad = set(cg.colors.values()) - set(palette) - {"f"}
         if bad:
             raise BisimError(f"unexpected colors {sorted(bad)}")
-    perms = (dict(zip(palette, images))
-             for images in itertools.permutations(palette))
-    if properly_colored(a) and properly_colored(b):
-        qa, ma = minimal_quotient(a)
-        qb, mb = minimal_quotient(b)
-        for perm in perms:
-            iso = colored_isomorphic(recolor(qa, perm), qb)
-            if iso is not None:
-                return True, perm, _witness(a, ma, iso, qb, mb)
-        return False, None, None
-    for perm in perms:
-        ok, witness = bisimilar(recolor(a, perm), b)
-        if ok:
-            return True, perm, witness
-    return False, None, None
+    return _first_common_quotient(
+        a, b, (dict(zip(palette, images))
+               for images in itertools.permutations(palette)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,18 @@ def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
     return tuple(out)
 
 
-def _search_in_patch(dom: SimplicialGraph, p: Patch):
-    plain = patches.to_simplicial(p)
-    found = graphs.find_induced_embeddings(dom, plain, limit=1)
+def patch_certificates(dom: SimplicialGraph, p: Patch, limit=None):
+    """Certificates of the induced embeddings of `dom` into the patch `p`,
+    at most `limit` of them, in `graphs.find_induced_embeddings` order."""
+    found = graphs.find_induced_embeddings(dom, patches.to_simplicial(p), limit)
     if not found:
-        return None
+        return []
     names = patches.named_vertices(p)
-    mapping = tuple(sorted(
-        (v, names[img]) for v, img in found[0].as_dict().items()))
-    return EmbeddingCertificate(dom, p.graph, mapping, p.provenance)
+    return [EmbeddingCertificate(
+                dom, p.graph,
+                tuple(sorted((v, names[img]) for v, img in emb.as_dict().items())),
+                p.provenance)
+            for emb in found]
 
 
 def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
@@ -126,17 +129,17 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
         for p in _doubling_level(cod, level, vertex_budget):
             if p.n < dom.n:
                 continue
-            cert = _search_in_patch(dom, p)
-            if cert is not None and verify_certificate(cert):
-                return cert
+            for cert in patch_certificates(dom, p, limit=1):
+                if verify_certificate(cert):
+                    return cert
     for radius in range(1, min(budget.max_depth, 2) + 1):
         try:
             ball = patches.ball_patch(cod, radius)
         except patches.BudgetExceeded:
             break
-        cert = _search_in_patch(dom, ball)
-        if cert is not None and verify_certificate(cert):
-            return cert
+        for cert in patch_certificates(dom, ball, limit=1):
+            if verify_certificate(cert):
+                return cert
     return None
 
 

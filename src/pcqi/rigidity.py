@@ -237,15 +237,10 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     decs, fails = [], []
     found = 0
     for p in family:
-        plain = patches.to_simplicial(p)
-        names = patches.named_vertices(p)
-        for emb in graphs.find_induced_embeddings(g, plain):
-            mapping = tuple(sorted(
-                (v, names[img]) for v, img in emb.as_dict().items()))
-            if mapping in seen_maps:
+        for cert in embeddings.patch_certificates(g, p):
+            if cert.mapping in seen_maps:
                 continue
-            seen_maps.add(mapping)
-            cert = embeddings.EmbeddingCertificate(g, g, mapping, p.provenance)
+            seen_maps.add(cert.mapping)
             if not embeddings.verify_certificate(cert):
                 raise RigidityError("patch produced an unverifiable embedding")
             found += 1

@@ -421,10 +421,41 @@ def bisimilar_oracle(a: bisim.ColoredGraph, b: bisim.ColoredGraph) -> bool:
     return False
 
 
+def bisimilar_reference(a: bisim.ColoredGraph, b: bisim.ColoredGraph):
+    """`bisim.bisimilar` before both decisions shared one procedure, kept
+    verbatim with its witness helper inlined: minimal quotients for
+    properly colored inputs, else every quotient of b recomputed for each
+    quotient of a."""
+    def witness(ma, iso, qb, mb):
+        return {
+            "quotient": qb,
+            "map_a": {v: iso[ma[v]] for v in a.graph.vertices},
+            "map_b": dict(mb),
+        }
+
+    if bisim.properly_colored(a) and bisim.properly_colored(b):
+        qa, ma = bisim.minimal_quotient(a)
+        qb, mb = bisim.minimal_quotient(b)
+        iso = bisim.colored_isomorphic(qa, qb)
+        if iso is None:
+            return False, None
+        return True, witness(ma, iso, qb, mb)
+    if max(a.graph.n, b.graph.n) > 8:
+        raise bisim.BisimError("monochrome edges on a graph too large for the "
+                               "exhaustive fallback")
+    for qa, ma in bisim.all_quotients(a):
+        for qb, mb in bisim.all_quotients(b):
+            iso = bisim.colored_isomorphic(qa, qb)
+            if iso is not None:
+                return True, witness(ma, iso, qb, mb)
+    return False, None
+
+
 def bisimilar_up_to_pcolor_permutation_reference(a, b, n):
     """The permutation loop before quotients were taken once per side,
-    kept verbatim: `bisim.bisimilar` on the recolored first graph for each
-    permutation, both quotients recomputed every time."""
+    kept verbatim except that it calls `bisimilar_reference`: `bisimilar`
+    on the recolored first graph for each permutation, both quotients
+    recomputed every time."""
     palette = [f"p{i}" for i in range(1, n + 2)]
     for cg in (a, b):
         bad = set(cg.colors.values()) - set(palette) - {"f"}
@@ -432,7 +463,7 @@ def bisimilar_up_to_pcolor_permutation_reference(a, b, n):
             raise bisim.BisimError(f"unexpected colors {sorted(bad)}")
     for images in itertools.permutations(palette):
         perm = dict(zip(palette, images))
-        ok, witness = bisim.bisimilar(bisim.recolor(a, perm), b)
+        ok, witness = bisimilar_reference(bisim.recolor(a, perm), b)
         if ok:
             return True, perm, witness
     return False, None, None

@@ -6,8 +6,8 @@ import pytest
 from pcqi import bisim, graphs, ntrees
 
 from conftest import random_graph
-from oracles import (bisimilar_oracle, bisimilar_up_to_pcolor_permutation_reference,
-                     generate_ntrees)
+from oracles import (_quotients_oracle, bisimilar_oracle, bisimilar_reference,
+                     bisimilar_up_to_pcolor_permutation_reference, generate_ntrees)
 from test_acceptance import random_tree
 
 
@@ -135,6 +135,69 @@ def test_bisimilar_matches_exhaustive_oracle(rng):
     assert 0 < equal < cases
 
 
+def _random_colored(rng, n, palette, prefix, proper):
+    """A random graph on n vertices, colored from `palette`; properly
+    colored, or with at least one monochrome edge; None if no such
+    coloring was drawn."""
+    g = random_graph(n, rng.random(), rng, prefix)
+    colors = {}
+    for v in g.vertices:
+        free = [c for c in palette
+                if not proper or all(colors.get(u) != c for u in graphs.link(g, v))]
+        if not free:
+            return None
+        colors[v] = rng.choice(free)
+    cg = bisim.colored_graph(g, colors)
+    return cg if bisim.properly_colored(cg) == proper else None
+
+
+def test_bisimilar_matches_reference(rng):
+    """The shared procedure gives the old `bisimilar`'s (ok, witness) on
+    properly colored pairs, monochrome pairs of up to 6 vertices, and
+    n-tree gphs against random partners and doubles."""
+    pairs = []
+    for proper, sizes, palette, count in (
+            (True, (1, 9), ["p1", "p2", "p3", "f"], 300),
+            (False, (2, 6), ["p1"], 75), (False, (2, 6), ["p1", "f"], 75)):
+        drawn = 0
+        while drawn < count:
+            a = _random_colored(rng, rng.randint(*sizes), palette, "a", proper)
+            b = _random_colored(rng, rng.randint(*sizes), palette, "b", proper)
+            if a is not None and b is not None:
+                pairs.append((a, b))
+                drawn += 1
+    for n in (1, 2, 3):
+        ks = generate_ntrees(n, 6, rng, 20)
+        for i, k in enumerate(ks):
+            d, _ = ntrees.double_ntree(k, rng.choice(sorted(k.vertices)))
+            for other in (ks[(i + 1) % len(ks)], d):
+                pairs.append((ntrees.build_gph(k), ntrees.build_gph(other)))
+    outcomes = set()
+    for a, b in pairs:
+        got = bisim.bisimilar(a, b)
+        assert got == bisimilar_reference(a, b)
+        outcomes.add((bisim.properly_colored(a), got[0]))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("x,z,joined", [("x", "z", "x|z"), ("a\\", "b", "a|b")])
+def test_quotient_names_escape_separator(x, z, joined):
+    """A class {x, z} and a vertex named like their plain join get distinct
+    quotient names, in the minimal quotient and in every fallback
+    quotient."""
+    def g(cx, cj, cm):
+        return CG([x, z, joined, "m"], [(x, "m"), (z, "m"), ("m", joined)],
+                  {x: cx, z: cx, joined: cj, "m": cm})
+
+    proper = g("p1", "p2", "f")
+    q, qmap = bisim.minimal_quotient(proper)
+    assert q.graph.n == 3 and qmap[x] == qmap[z] != qmap[joined]
+    ok, witness = bisim.bisimilar(proper, proper)
+    assert ok and witness["quotient"] == q
+    mono = g("a", "b", "b")
+    assert len(bisim.all_quotients(mono)) == len(_quotients_oracle(mono))
+
+
 def test_pcolor_permutation():
     swapped = CG("xyz", [("x", "y"), ("y", "z")],
                  {"x": "p2", "y": "f", "z": "p1"})
@@ -192,11 +255,32 @@ def test_pcolor_permutation_matches_reference_on_criterion_8_trees():
                 == bisimilar_up_to_pcolor_permutation_reference(a, b, 1))
 
 
-def test_pcolor_permutation_monochrome_edges_match_reference():
+def test_pcolor_permutation_monochrome_edges_match_reference(rng):
+    """Fixed pairs, then random graphs with a monochrome edge against a
+    relabelled copy with permuted p-colors, which mostly succeed only on a
+    non-identity permutation."""
     mono = CG("ab", [("a", "b")], {"a": "p1", "b": "p1"})
-    for a, b in ((mono, mono), (mono, PFP), (PFP, mono)):
-        assert (bisim.bisimilar_up_to_pcolor_permutation(a, b, 1)
-                == bisimilar_up_to_pcolor_permutation_reference(a, b, 1))
+    pairs = [((mono, mono), 1), ((mono, PFP), 1), ((PFP, mono), 1)]
+    while len(pairs) < 103:
+        n = rng.choice((1, 2))
+        palette = [f"p{i}" for i in range(1, n + 2)] + ["f"]
+        a = _random_colored(rng, rng.randint(2, 6), palette, "a", False)
+        if a is None:
+            continue
+        pi = dict(zip(palette, rng.choice(
+            list(itertools.permutations(palette[:-1]))[1:])))
+        names = [f"b{i}" for i in range(a.graph.n)]
+        rng.shuffle(names)
+        rename = dict(zip(a.graph.vertices, names))
+        b = CG(names, [(rename[x], rename[y]) for x, y in map(tuple, a.graph.edges)],
+               {rename[v]: pi.get(c, c) for v, c in a.colors.items()})
+        pairs.append(((a, b), n))
+    non_identity = 0
+    for (a, b), n in pairs:
+        got = bisim.bisimilar_up_to_pcolor_permutation(a, b, n)
+        assert got == bisimilar_up_to_pcolor_permutation_reference(a, b, n)
+        non_identity += got[0] and got[1] != {c: c for c in got[1]}
+    assert non_identity >= 80
 
 
 def test_minimal_quotient_commutes_with_recoloring(rng):

@@ -101,6 +101,17 @@ def test_gph_and_bisim(tmp_path, capsys):
     assert code == 0 and json.loads(out)["bisimilar"]
 
 
+def test_bisim_accepts_separator_in_vertex_names(tmp_path, capsys):
+    """A class {x, z} and a vertex named x|z get distinct quotient names."""
+    cg = tmp_path / "g.json"
+    cg.write_text(json.dumps({
+        "vertices": ["x", "z", "x|z", "m"],
+        "edges": [["x", "m"], ["z", "m"], ["m", "x|z"]],
+        "colors": {"x": "p1", "z": "p1", "x|z": "p2", "m": "f"}}))
+    code, out = run(["bisim", "--a", str(cg), "--b", str(cg)], capsys)
+    assert code == 0 and json.loads(out)["bisimilar"] is True
+
+
 def test_ntree_certificate_is_independent_of_hash_seed(tmp_path):
     """The ntree certificate is JSON data (permutation, quotient, both
     covering maps), so a 2-tree against its double prints the same bytes

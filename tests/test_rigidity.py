@@ -164,14 +164,10 @@ def _certificates(g, depth):
     """Every distinct certificate the rigidity experiment decomposes."""
     out, seen = [], set()
     for p in patches.doubling_family(g, depth):
-        plain = patches.to_simplicial(p)
-        names = patches.named_vertices(p)
-        for emb in graphs.find_induced_embeddings(g, plain):
-            mapping = tuple(sorted(
-                (v, names[img]) for v, img in emb.as_dict().items()))
-            if mapping not in seen:
-                seen.add(mapping)
-                out.append(EmbeddingCertificate(g, g, mapping, p.provenance))
+        for cert in embeddings.patch_certificates(g, p):
+            if cert.mapping not in seen:
+                seen.add(cert.mapping)
+                out.append(cert)
     return out
 
 
