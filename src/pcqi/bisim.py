@@ -97,12 +97,29 @@ def _stable_partition(cg: ColoredGraph):
         block = new
 
 
-def _class_name(vs) -> str:
-    """The quotient-vertex name of a class: its sorted members joined by
-    `|`, with `\\` and `|` inside a member escaped by a backslash so that
-    distinct classes never share a name."""
-    return "|".join(v.replace("\\", "\\\\").replace("|", "\\|")
-                    for v in sorted(vs))
+def joined_name(members, sep) -> str:
+    """The sorted `members` joined by `sep`, with `\\` and `sep` inside a
+    member escaped by a backslash, so that distinct sets never share a
+    name."""
+    return sep.join(v.replace("\\", "\\\\").replace(sep, "\\" + sep)
+                    for v in sorted(members))
+
+
+def _quotient(cg: ColoredGraph, classes):
+    """((quotient, vertex -> quotient-vertex map), None) for a partition of
+    cg's vertices into `classes`, or (None, reason) when the quotient map
+    is not a weak covering.  Quotient vertices are named by their class
+    contents joined by `|`, and take their members' color."""
+    name = {}
+    for cls in classes:
+        name.update(dict.fromkeys(cls, joined_name(cls, "|")))
+    qmap = {v: name[v] for v in cg.graph.vertices}
+    qedges = [(qmap[a], qmap[b]) for a, b in map(tuple, cg.graph.edges)
+              if qmap[a] != qmap[b]]
+    quotient = colored_graph(graphs.graph(qmap.values(), qedges),
+                             {qmap[v]: c for v, c in cg.colors.items()})
+    ok, why = check_weak_covering(qmap, cg, quotient)
+    return ((quotient, qmap), None) if ok else (None, why)
 
 
 def minimal_quotient(cg: ColoredGraph):
@@ -115,22 +132,13 @@ def minimal_quotient(cg: ColoredGraph):
     """
     if not properly_colored(cg):
         raise BisimError("monochrome edge: minimal quotient undefined")
-    block = _stable_partition(cg)
     classes = {}
-    for v, b in block.items():
+    for v, b in _stable_partition(cg).items():
         classes.setdefault(b, []).append(v)
-    qname = {b: _class_name(vs) for b, vs in classes.items()}
-    qmap = {v: qname[block[v]] for v in cg.graph.vertices}
-    qedges = {frozenset((qmap[a], qmap[b]))
-              for e in cg.graph.edges for a, b in [tuple(e)]
-              if qmap[a] != qmap[b]}
-    qgraph = graphs.graph(qname.values(), [tuple(e) for e in qedges])
-    qcolors = {qname[b]: cg.colors[vs[0]] for b, vs in classes.items()}
-    quotient = colored_graph(qgraph, qcolors)
-    ok, why = check_weak_covering(qmap, cg, quotient)
-    if not ok:
+    found, why = _quotient(cg, classes.values())
+    if found is None:
         raise BisimError(f"quotient is not a weak covering: {why}")
-    return quotient, qmap
+    return found
 
 
 def colored_isomorphic(a: ColoredGraph, b: ColoredGraph):
@@ -170,14 +178,9 @@ def all_quotients(cg: ColoredGraph):
         if any(cg.graph.has_edge(u, v) for cls in part
                for u, v in itertools.combinations(cls, 2)):
             continue
-        qname = {v: _class_name(cls) for cls in part for v in cls}
-        qedges = {frozenset((qname[x], qname[y]))
-                  for e in cg.graph.edges for x, y in [tuple(e)]}
-        qgraph = graphs.graph(set(qname.values()), [tuple(e) for e in qedges])
-        quotient = colored_graph(qgraph, {qname[v]: colors[v] for v in qname})
-        ok, _ = check_weak_covering(qname, cg, quotient)
-        if ok:
-            out.append((quotient, qname))
+        found, _ = _quotient(cg, part)
+        if found is not None:
+            out.append(found)
     return out
 
 

@@ -58,16 +58,12 @@ def _ntree_certificate_json(perm, witness):
             "map_b": witness["map_b"]}
 
 
-def universal_vertices(g: SimplicialGraph):
-    return [v for v in g.vertices if graphs.degree(g, v) == g.n - 1]
-
-
 def droms_decompose(g: SimplicialGraph) -> DromsDecomposition:
     """Split off the clique of universal vertices; the rest is a disjoint
     union of strictly smaller triangle-built graphs."""
     if not graphs.is_triangle_built(g):
         raise graphs.GraphError("input is not triangle-built")
-    uni = set(universal_vertices(g))
+    uni = set(graphs.universal_vertices(g))
     rest = graphs.induced_subgraph(g, set(g.vertices) - uni)
     comps = sorted(
         (graphs.induced_subgraph(rest, c) for c in graphs.connected_components(rest)),

@@ -14,31 +14,23 @@ import sys
 from . import bisim, classify, embeddings, graphs, ntrees, patches, rigidity, words
 
 
-def _dump(data, out=None):
-    text = json.dumps(data, indent=2, sort_keys=True)
+def _write(text, out=None):
+    """Print `text`, or write it with a trailing newline to the file `out`."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
+
+
+def _dump(data, out=None):
+    _write(json.dumps(data, indent=2, sort_keys=True), out)
 
 
 def _to_dot(g: graphs.SimplicialGraph) -> str:
     lines = [f'  "{v}";' for v in g.vertices]
     lines += [f'  "{a}" -- "{b}";' for a, b in sorted(sorted(e) for e in g.edges)]
     return "graph G {\n" + "\n".join(lines) + "\n}"
-
-
-def _emit_graph(g, fmt, out):
-    if fmt == "dot":
-        text = _to_dot(g)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    else:
-        _dump(json.loads(graphs.to_json(g)), out)
 
 
 def cmd_predicates(args):
@@ -93,7 +85,7 @@ def cmd_patch(args):
                 raise ValueError(f"--double: no patch vertex named {name!r}")
             p = patches.double_along_star(p, named[name], exponent)
     if args.format == "dot":
-        _emit_graph(patches.to_simplicial(p), "dot", args.out)
+        _write(_to_dot(patches.to_simplicial(p)), args.out)
     else:
         _dump(patches.patch_to_json(p), args.out)
     return 0
@@ -111,8 +103,7 @@ def cmd_embed(args):
         return 1
     _dump({
         "result": "Found",
-        "mapping": {v: {"base": cg.base, "conj": " ".join(
-                        x if s == 1 else f"{x}^-1" for x, s in cg.conj)}
+        "mapping": {v: {"base": cg.base, "conj": words.format_letters(cg.conj)}
                     for v, cg in cert.mapping},
         "provenance": patches.provenance_to_json(cert.provenance),
         "verified": embeddings.verify_certificate(cert),

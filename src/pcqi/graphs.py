@@ -224,6 +224,11 @@ def classify_shape(g) -> ShapeVerdict:
     graph reports clique(1) flagged as also edgeless.  Stars are reported
     as trees, not joins; K_{m,n} with m, n >= 2 contains a square so the
     two verdicts never compete.
+
+    The join parts are read off the first vertex: its neighbours B and the
+    other vertices A.  g is a join of two edgeless parts iff every pair
+    across A and B is an edge (|E| = |A|·|B|) and no edge lies inside A
+    or inside B.
     """
     if g.n == 0:
         raise GraphError("empty graph has no shape")
@@ -232,14 +237,13 @@ def classify_shape(g) -> ShapeVerdict:
         return ShapeVerdict("clique", (g.n,), also_edgeless=g.n == 1)
     if not g.edges:
         return ShapeVerdict("edgeless", (g.n,))
-    if is_connected(g) and len(g.edges) == g.n - 1:
+    if is_tree(g):
         return ShapeVerdict("tree", (diameter(g),))
-    comps = connected_components(complement(g))
-    if len(comps) == 2:
-        a, b = comps
-        if not any(e <= a or e <= b for e in g.edges):
-            k, l = sorted((len(a), len(b)))
-            return ShapeVerdict("join_of_two_edgeless", (k, l))
+    b = adjacency(g)[g.vertices[0]]
+    a = g.vertex_set - b
+    if (len(g.edges) == len(a) * len(b)
+            and not any(e <= a or e <= b for e in g.edges)):
+        return ShapeVerdict("join_of_two_edgeless", tuple(sorted((len(a), len(b)))))
     return ShapeVerdict("other", ())
 
 
@@ -247,24 +251,31 @@ def is_tree(g):
     return is_connected(g) and len(g.edges) == g.n - 1
 
 
+def universal_vertices(g):
+    """The vertices adjacent to every other vertex."""
+    return [v for v in g.vertices if degree(g, v) == g.n - 1]
+
+
 def is_triangle_built(g):
     """No induced square and no induced path on four vertices.
 
     The minimal path obstruction is fixed as the 4-vertex induced path
-    (both the length-3 and the diameter-3 reading give this graph).
+    (both the length-3 and the diameter-3 reading give this graph).  A
+    graph has neither iff every connected induced subgraph has a universal
+    vertex (Golumbic, *Trivially perfect graphs*, Discrete Math. 1978), and
+    a universal vertex lies on no induced square or path on four vertices.
+    So each component must have universal vertices, and what is left after
+    removing them must pass again; each round removes a vertex.
     """
-    adj = adjacency(g)
-    for quad in itertools.combinations(g.vertices, 4):
-        sub = [frozenset(p) for p in itertools.combinations(quad, 2)]
-        present = sum(1 for e in sub if e in g.edges)
-        if present == 3:
-            degs = sorted(sum(1 for u in quad if u != v and u in adj[v]) for v in quad)
-            if degs == [1, 1, 2, 2]:   # path on 4 vertices
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        for comp in connected_components(h):
+            sub = h if len(comp) == h.n else induced_subgraph(h, comp)
+            uni = universal_vertices(sub)
+            if not uni:
                 return False
-        elif present == 4:
-            degs = [sum(1 for u in quad if u != v and u in adj[v]) for v in quad]
-            if all(d == 2 for d in degs):   # induced square
-                return False
+            todo.append(induced_subgraph(sub, comp.difference(uni)))
     return True
 
 

@@ -180,11 +180,11 @@ def pieces(k: NTreeComplex) -> tuple:
 
 
 def _pid(piece):
-    return "p:" + ",".join(sorted(piece.spine))
+    return "p:" + bisim.joined_name(piece.spine, ",")
 
 
 def _fid(simplex):
-    return "f:" + ",".join(sorted(simplex))
+    return "f:" + bisim.joined_name(simplex, ",")
 
 
 @lru_cache(maxsize=NTREE_CACHE_SIZE)
@@ -258,13 +258,12 @@ def induced_gph_map(k_big: NTreeComplex, k_small: NTreeComplex, vertex_map: dict
         f[_pid(p)] = _pid(down_pieces[spine_img])
     up = build_gph(k_big)
     down = build_gph(k_small)
-    down_ids = set(down.graph.vertices)
-    for vid in up.graph.vertices:
-        if vid.startswith("f:"):
-            simplex = vid[2:].split(",")
+    for vid, simplex in sorted((_fid(s), s) for s in k_big.simplices):
+        if vid in up.graph:
             img = _fid({vertex_map[w] for w in simplex})
-            if img not in down_ids:
-                raise NTreeError(f"shared simplex {simplex} does not fold to one")
+            if img not in down.graph:
+                raise NTreeError(
+                    f"shared simplex {sorted(simplex)} does not fold to one")
             f[vid] = img
     return f
 
@@ -297,20 +296,7 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
     col_d = vertex_coloring(delta)
     col_g = vertex_coloring(gamma)
 
-    if not gph_d.graph.vertices:
-        # no pieces on either side: both are single simplices
-        (s_d,) = delta.simplices
-        (s_g,) = gamma.simplices
-        by_color = {col_g[v]: v for v in s_g}
-        mapping = {v: patches.ConjugateGenerator(by_color[col_d[v]], ())
-                   for v in s_d}
-        cert = embeddings.EmbeddingCertificate(g_delta, g_gamma,
-                                               tuple(sorted(mapping.items())), ())
-        if not embeddings.verify_certificate(cert):
-            raise NTreeError("constructed certificate failed verification")
-        return cert
-
-    images = {}          # delta vertex -> (gamma vertex, conjugator GroupWord)
+    images = {}          # delta vertex -> (gamma vertex, conjugator letters)
     counter = itertools.count(1)
 
     def assign(v, gamma_vertex, conj):
@@ -325,8 +311,11 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
     adj = graphs.adjacency(gph_d.graph)
     pieces_d = {_pid(p): p for p in pieces(delta)}
     pieces_g = {_pid(p): p for p in pieces(gamma)}
+    simplices_g = {_fid(s): s for s in gamma.simplices}
 
-    def handle_piece(pid, entry_fid, entry_conj, done):
+    def handle_piece(pid, entry, entry_conj, done):
+        """Map the piece `pid`, entered through the shared simplex `entry`
+        (None at the root) with conjugator `entry_conj`."""
         piece = pieces_d[pid]
         piece_g = pieces_g[f[pid]]
         spine_by_color = {col_g[v]: v for v in piece_g.spine}
@@ -336,22 +325,18 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
             assign(v, spine_by_color[col_d[v]], g_p)
 
         used_targets = set()
-        entry_simplex = None
-        if entry_fid is not None:
-            entry_simplex = frozenset(entry_fid[2:].split(","))
-            target = next(iter(frozenset(f[entry_fid][2:].split(",")) - piece_g.spine))
+        if entry is not None:
+            target = next(iter(simplices_g[f[_fid(entry)]] - piece_g.spine))
             used_targets.add(target)
-            tip = next(iter(entry_simplex - piece.spine))
-            assign(tip, target, g_p)
+            assign(next(iter(entry - piece.spine)), target, g_p)
 
         for s in piece.simplices():
-            s = frozenset(s)
-            if s == entry_simplex:
+            if s == entry:
                 continue
             fid = _fid(s)
             tip = next(iter(s - piece.spine))
             if fid in gph_d.graph:
-                target = next(iter(frozenset(f[fid][2:].split(",")) - piece_g.spine))
+                target = next(iter(simplices_g[f[fid]] - piece_g.spine))
             else:
                 free = [t for t in tips_g if t not in used_targets]
                 target = free[0] if free else tips_g[0]
@@ -369,10 +354,18 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
                 for nxt in sorted(adj[fid]):
                     if nxt != pid and nxt not in done:
                         done.add(nxt)
-                        handle_piece(nxt, fid, conj, done)
+                        handle_piece(nxt, s, conj, done)
 
-    root = min(v for v in gph_d.graph.vertices if v.startswith("p:"))
-    handle_piece(root, None, None, {root})
+    if pieces_d:
+        root = min(pieces_d)
+        handle_piece(root, None, None, {root})
+    else:
+        # no pieces on either side: both are single simplices, matched by
+        # color with no conjugator
+        (s_d,) = delta.simplices
+        (s_g,) = gamma.simplices
+        by_color = {col_g[v]: v for v in s_g}
+        images.update((v, (by_color[col_d[v]], ())) for v in s_d)
 
     if set(images) != set(g_delta.vertices):
         raise NTreeError("embedding did not reach every vertex")

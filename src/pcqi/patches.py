@@ -56,8 +56,7 @@ class ConjugateGenerator:
     def name(self):
         if not self.conj:
             return self.base
-        return f"{self.base}^" + " ".join(
-            g if s == 1 else f"{g}^-1" for g, s in self.conj)
+        return f"{self.base}^" + words.format_letters(self.conj)
 
     def conj_word(self, g: SimplicialGraph) -> GroupWord:
         return GroupWord(g, self.conj)
@@ -289,8 +288,7 @@ def patch_to_json(p: Patch) -> dict:
     idx = {cg: i for i, cg in enumerate(p.cg_vertices)}
     return {
         "vertices": [
-            {"base": cg.base,
-             "conj": " ".join(g if s == 1 else f"{g}^-1" for g, s in cg.conj)}
+            {"base": cg.base, "conj": words.format_letters(cg.conj)}
             for cg in p.cg_vertices
         ],
         "edges": sorted(sorted((idx[a], idx[b])) for e in p.cg_edges

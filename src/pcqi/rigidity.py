@@ -174,8 +174,7 @@ class RigidityReport:
             "embeddings": self.embeddings_found,
             "failures": len(self.failures),
             "decompositions": [
-                {"conjugator": " ".join(
-                     x if s == 1 else f"{x}^-1" for x, s in d.conjugator),
+                {"conjugator": words.format_letters(d.conjugator),
                  "automorphism": dict(d.automorphism)}
                 for d in self.decompositions
             ],

@@ -73,8 +73,14 @@ def word(g: SimplicialGraph, text: str = "", letters=None) -> GroupWord:
     return GroupWord(g, tuple(out))
 
 
+def format_letters(letters) -> str:
+    """Letters as whitespace-separated tokens `a` / `a^-1`, the form
+    `word` parses."""
+    return " ".join(g if s == 1 else f"{g}^-1" for g, s in letters)
+
+
 def format_word(w: GroupWord) -> str:
-    return " ".join(g if s == 1 else f"{g}^-1" for g, s in w.letters)
+    return format_letters(w.letters)
 
 
 def identity(g: SimplicialGraph) -> GroupWord:

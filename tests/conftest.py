@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,24 @@ def random_graph(n, p, rng, prefix="r"):
     vs = [f"{prefix}{i}" for i in range(n)]
     es = [(a, b) for i, a in enumerate(vs) for b in vs[:i] if rng.random() < p]
     return graphs.graph(vs, es)
+
+
+def labelled_graphs(max_n):
+    """Every graph on the vertices v0..v{n-1}, for each n <= max_n."""
+    for n in range(max_n + 1):
+        vs = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.combinations(vs, 2))
+        for mask in range(1 << len(pairs)):
+            yield graphs.graph(vs, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def predicate_inputs(rng):
+    """Every labelled graph on at most 6 vertices, then 2000 random graphs
+    on 7-12 vertices of random density: the inputs on which the shape
+    predicates are pinned to their references."""
+    yield from labelled_graphs(6)
+    for _ in range(2000):
+        yield random_graph(rng.randint(7, 12), rng.random(), rng)
 
 
 def all_trees(n, _cache={}):

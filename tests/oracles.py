@@ -248,6 +248,60 @@ def girth_reference(g):
 
 
 # ---------------------------------------------------------------------------
+# shape predicates: the 4-subset scan and the complement-based join test
+# that the universal-vertex recursion and the one-vertex join test
+# replaced, kept verbatim
+
+def is_triangle_built_reference(g):
+    """No induced square and no induced path on four vertices.
+
+    The minimal path obstruction is fixed as the 4-vertex induced path
+    (both the length-3 and the diameter-3 reading give this graph).
+    """
+    adj = graphs.adjacency(g)
+    for quad in itertools.combinations(g.vertices, 4):
+        sub = [frozenset(p) for p in itertools.combinations(quad, 2)]
+        present = sum(1 for e in sub if e in g.edges)
+        if present == 3:
+            degs = sorted(sum(1 for u in quad if u != v and u in adj[v]) for v in quad)
+            if degs == [1, 1, 2, 2]:   # path on 4 vertices
+                return False
+        elif present == 4:
+            degs = [sum(1 for u in quad if u != v and u in adj[v]) for v in quad]
+            if all(d == 2 for d in degs):   # induced square
+                return False
+    return True
+
+
+def classify_shape_reference(g) -> graphs.ShapeVerdict:
+    """Recognize the elementary shapes: cliques, edgeless graphs, trees,
+    and joins of two edgeless parts (complete bipartite graphs).
+
+    Precedence: clique, edgeless, tree, join, other.  The single-vertex
+    graph reports clique(1) flagged as also edgeless.  Stars are reported
+    as trees, not joins; K_{m,n} with m, n >= 2 contains a square so the
+    two verdicts never compete.
+    """
+    ShapeVerdict = graphs.ShapeVerdict
+    if g.n == 0:
+        raise graphs.GraphError("empty graph has no shape")
+    full = g.n * (g.n - 1) // 2
+    if len(g.edges) == full:
+        return ShapeVerdict("clique", (g.n,), also_edgeless=g.n == 1)
+    if not g.edges:
+        return ShapeVerdict("edgeless", (g.n,))
+    if graphs.is_connected(g) and len(g.edges) == g.n - 1:
+        return ShapeVerdict("tree", (graphs.diameter(g),))
+    comps = graphs.connected_components(graphs.complement(g))
+    if len(comps) == 2:
+        a, b = comps
+        if not any(e <= a or e <= b for e in g.edges):
+            k, l = sorted((len(a), len(b)))
+            return ShapeVerdict("join_of_two_edgeless", (k, l))
+    return ShapeVerdict("other", ())
+
+
+# ---------------------------------------------------------------------------
 # extension-graph edges: the word-algebra test on every pair, with no
 # short-circuit from the defining graph
 

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from pcqi import classify, embeddings, graphs
+from pcqi import classify, embeddings, graphs, ntrees
 
-from conftest import clique, cycle, edgeless, path, star
+from conftest import clique, cycle, edgeless, path, predicate_inputs, star
+from oracles import is_triangle_built_reference
 
 
 def join(g1, g2):
@@ -49,6 +50,33 @@ def test_universal_vertices_and_droms():
 
     with pytest.raises(graphs.GraphError):
         classify.droms_decompose(cycle(5))
+
+
+def test_droms_and_classify_pair_match_reference_scan(rng, monkeypatch):
+    """The triangle-built verdicts are those given with the old 4-subset
+    scan, on the triangle-built predicate inputs paired off in order."""
+    tb = [g for g in predicate_inputs(rng) if is_triangle_built_reference(g)]
+    pairs = list(zip(tb[0::2], tb[1::2]))
+
+    def outcomes():
+        return ([classify.droms_decompose(g) for g in tb],
+                [classify.classify_pair(d, g) for d, g in pairs])
+
+    new = outcomes()
+    monkeypatch.setattr(graphs, "is_triangle_built", is_triangle_built_reference)
+    assert outcomes() == new
+    assert sum(v.klass == "triangle_built" for v in new[1]) > 2000
+
+
+def test_ntree_with_comma_names_is_qi_to_a_relabelled_copy():
+    simplices = [["a,b", "c", "x"], ["a,b", "c", "y"], ["c", "x", "a"],
+                 ["x", "a", "b,c"], ["a", "b,c", "z"], ["a", "b,c", "w"]]
+    names = sorted({v for s in simplices for v in s})
+    plain = {v: f"u{i}" for i, v in enumerate(names)}
+    k = ntrees.complex_(2, simplices)
+    copy = ntrees.complex_(2, [[plain[v] for v in s] for s in simplices])
+    v = classify.classify_pair(ntrees.skeleton(k), ntrees.skeleton(copy))
+    assert (v.verdict, v.klass) == ("QI", "ntree")
 
 
 def test_maximal_cliques():

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from pcqi import embeddings, graphs, patches
 
-from conftest import all_trees, clique, cycle, edgeless, path, random_graph, star
-from oracles import (diameter_reference, embeddings_oracle,
-                     find_induced_embeddings_reference, girth_reference)
+from conftest import (all_trees, clique, cycle, edgeless, path, predicate_inputs,
+                      random_graph, star)
+from oracles import (classify_shape_reference, diameter_reference,
+                     embeddings_oracle, find_induced_embeddings_reference,
+                     girth_reference, is_triangle_built_reference)
 from test_acceptance import random_tree
 
 
@@ -114,6 +116,19 @@ def test_triangle_built_and_chordal():
     assert graphs.is_chordal(path(5))
     assert not graphs.is_chordal(cycle(4))
     assert not graphs.is_chordal(cycle(5))
+
+
+def test_triangle_built_and_shape_match_references(rng):
+    triangle_built = joins = 0
+    for g in predicate_inputs(rng):
+        tb = graphs.is_triangle_built(g)
+        assert tb == is_triangle_built_reference(g), (g.vertices, g.edges)
+        triangle_built += tb
+        if g.n:
+            shape = graphs.classify_shape(g)
+            assert shape == classify_shape_reference(g), (g.vertices, g.edges)
+            joins += shape.kind == "join_of_two_edgeless"
+    assert triangle_built > 4000 and joins >= 38   # every labelled K_{m,n}, m, n >= 2
 
 
 def test_atomic(c5, petersen):

@@ -192,9 +192,10 @@ def test_double_is_bisimilar(rng):
 
 
 def test_weak_cover_to_embedding_examples():
-    # identity on a single simplex
+    # identity on a single simplex: color-matched bases, no conjugator
     cert = ntrees.weak_cover_to_embedding(K(2, "abc"), K(2, "xyz"), {})
     assert embeddings.verify_certificate(cert)
+    assert {v: cg.name() for v, cg in cert.mapping} == {"a": "x", "b": "y", "c": "z"}
 
     # the doubled path folds onto the path
     d, fold = ntrees.double_ntree(PATH4, "a")
@@ -219,3 +220,33 @@ def test_weak_cover_path5_onto_path4():
     assert ok, why
     cert = ntrees.weak_cover_to_embedding(PATH5, PATH4, f)
     assert embeddings.verify_certificate(cert)
+
+
+# Vertex names holding the id separator `,` or the escape `\`: gph ids
+# escape both, and no code parses an id back into names.
+
+def test_gph_ids_of_comma_names_stay_distinct():
+    # the path x - a - "b,c" - "a,b" - c - y: 4 pieces, 3 shared edges
+    k = K(1, ["x", "a"], ["a", "b,c"], ["b,c", "a,b"], ["a,b", "c"], ["c", "y"])
+    g = ntrees.build_gph(k)
+    assert g.graph.n == 7
+    assert set(g.graph.vertices) == {
+        "p:a", "p:b\\,c", "p:a\\,b", "p:c",
+        "f:a,b\\,c", "f:a\\,b,b\\,c", "f:a\\,b,c"}
+    # a backslash in a name is doubled, so ids stay reversible
+    g = ntrees.build_gph(K(1, ["x", "a\\"], ["a\\", "b"], ["b", "y"]))
+    assert set(g.graph.vertices) == {"p:a\\\\", "p:b", "f:a\\\\,b"}
+    # names without `,` or `\` keep their ids
+    assert ntrees.build_gph(PATH5).graph.vertices == (
+        "f:b,c", "f:c,d", "p:b", "p:c", "p:d")
+
+
+def test_weak_cover_to_embedding_with_comma_names():
+    k = K(1, ["x", "a,b"], ["a,b", "y"], ["y", "a"], ["y", "b"])
+    d, fold = ntrees.double_ntree(k, "y")
+    f = ntrees.induced_gph_map(d, k, fold)
+    ok, why = bisim.check_weak_covering(f, ntrees.build_gph(d), ntrees.build_gph(k))
+    assert ok, why
+    cert = ntrees.weak_cover_to_embedding(d, k, f)
+    assert embeddings.verify_certificate(cert)
+    assert {v for v, _ in cert.mapping} == set(d.vertices)
