@@ -195,18 +195,13 @@ def _join(g, j, w):
     return words.normal_form(GroupWord(g, rest + w)).letters
 
 
-def decompose_embedding(cert: embeddings.EmbeddingCertificate):
-    """(g, sigma) with image(sigma(v)) = v^g for all v, or None.
-
-    Both parts are forced by the certificate.  sigma(v) is the domain
-    vertex whose image has base v, and must be a graph automorphism.  With
-    c_v the coset representative of C(v)·g carried by that image, every
-    c_v is a right factor of the reduced g whose left cofactor lies in
-    C(v); so g is the join of the c_v under the suffix order, up to the
-    centre, which is trivial for an atomic graph.  The join is checked
-    against every coset, so None means no decomposition exists: a genuine
-    counterexample to rigidity, not an incomplete search.
-    """
+def _base_map(cert: embeddings.EmbeddingCertificate):
+    """sigma: base vertex -> domain vertex whose image has that base, when
+    the bases are a bijection onto the codomain's vertices and sigma is a
+    graph isomorphism from the codomain onto the domain; else None.  A
+    bijection is injective on edges, so it carries the codomain's edges
+    onto the domain's iff it maps every codomain edge to a domain edge and
+    the edge counts are equal."""
     g = cert.codomain
     dom = cert.domain
     m = cert.as_dict()
@@ -214,8 +209,28 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     if (set(m) != set(dom.vertices) or set(dom.vertices) != set(g.vertices)
             or set(sigma) != set(g.vertices)):
         return None
-    if any(not dom.has_edge(sigma[a], sigma[b]) for a, b in map(tuple, dom.edges)):
+    if frozenset(frozenset(sigma[x] for x in e) for e in g.edges) != dom.edges:
         return None
+    return sigma
+
+
+def decompose_embedding(cert: embeddings.EmbeddingCertificate):
+    """(g, sigma) with image(sigma(v)) = v^g for all v, or None.
+
+    Both parts are forced by the certificate.  sigma(v) is the domain
+    vertex whose image has base v, and must be a graph isomorphism from the
+    codomain onto the domain.  With c_v the coset representative of C(v)·g
+    carried by that image, every c_v is a right factor of the reduced g
+    whose left cofactor lies in C(v); so g is the join of the c_v under the
+    suffix order, up to the centre, which is trivial for an atomic graph.
+    The join is checked against every coset, so None means no decomposition
+    exists: a genuine counterexample to rigidity, not an incomplete search.
+    """
+    sigma = _base_map(cert)
+    if sigma is None:
+        return None
+    g = cert.codomain
+    m = cert.as_dict()
     conj = ()
     for v in g.vertices:
         conj = _join(g, conj, m[sigma[v]].conj)
@@ -229,10 +244,31 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     """Enumerate every induced embedding of g into every patch reachable
     by `depth` doublings and attempt the (conjugator, automorphism)
-    decomposition for each; failures are collected, not raised."""
+    decomposition for each; failures are collected, not raised.
+
+    The word algebra runs once per conjugate copy of g, that is, once per
+    image set.  The first embedding onto a set is verified and decomposed
+    in full.  Its conjugator depends on the set alone, since the join and
+    the coset check read only the image with base v.  A later embedding m'
+    onto the same set whose base map sigma' is an automorphism is verified
+    and decomposed without the word algebra, by this argument:
+
+    - The first embedding m was verified, and its bases are a bijection
+      because they are those of m'.  v^x -> v is a graph homomorphism
+      ext(g) -> g (Fact 1 of Kim–Koberda, Geom. Topol. 2013, §3), so the
+      base map of m is a bijective graph homomorphism g -> g, which is an
+      automorphism; so is its inverse sigma.
+    - m and m' send sigma(v) and sigma'(v) to the one image with base v, so
+      m' = m ∘ tau with tau = sigma ∘ sigma'^-1 an automorphism.  So m' is
+      a verified embedding like m, and decomposes as (the set's conjugator,
+      sigma') exactly when m does.
+
+    Every other embedding is verified and decomposed in full, so one that
+    does not verify still raises."""
     _require_atomic(g)
     family = patches.doubling_family(g, depth)
     seen_maps = set()
+    copies = {}     # image set -> conjugator of its first embedding, or None
     decs, fails = [], []
     found = 0
     for p in family:
@@ -240,10 +276,18 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
             if cert.mapping in seen_maps:
                 continue
             seen_maps.add(cert.mapping)
-            if not embeddings.verify_certificate(cert):
-                raise RigidityError("patch produced an unverifiable embedding")
             found += 1
-            dec = decompose_embedding(cert)
+            images = frozenset(cg for _, cg in cert.mapping)
+            sigma = _base_map(cert)
+            if sigma is None or images not in copies:
+                if not embeddings.verify_certificate(cert):
+                    raise RigidityError("patch produced an unverifiable embedding")
+                dec = decompose_embedding(cert)
+                copies.setdefault(images, None if dec is None else dec.conjugator)
+            elif copies[images] is None:
+                dec = None
+            else:
+                dec = Decomposition(copies[images], tuple(sorted(sigma.items())))
             if dec is None:
                 fails.append(cert)
             else:

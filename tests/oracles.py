@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from pcqi import bisim, graphs, ntrees, rigidity, words
+from pcqi import bisim, embeddings, graphs, ntrees, patches, rigidity, words
 from pcqi.words import GroupWord
 
 
@@ -562,13 +562,17 @@ def _star_ball(g, base, radius):
 
 
 def decompose_oracle(cert, radius):
-    """The decomposition found by trying every automorphism sigma of the
-    domain and every conjugator s * conj(v0) with s in the radius ball of
-    the centralizer of the first vertex v0; None when none fits."""
+    """The decomposition found by trying every isomorphism sigma from the
+    codomain onto the domain and every conjugator s * conj(v0) with s in
+    the radius ball of the centralizer of the first vertex v0; None when
+    none fits."""
     g = cert.codomain
     m = cert.as_dict()
     v0 = g.vertices[0]
-    for sigma in graphs.automorphisms(cert.domain):
+    if len(cert.domain.vertices) != g.n:
+        return None
+    for emb in graphs.find_induced_embeddings(g, cert.domain):
+        sigma = emb.as_dict()
         shuffled = {v: m[sigma[v]] for v in g.vertices}
         if any(shuffled[v].base != v for v in g.vertices):
             continue
@@ -581,3 +585,27 @@ def decompose_oracle(cert, radius):
                     words.normal_form(cand).letters,
                     tuple(sorted(sigma.items())))
     return None
+
+
+def rigidity_experiment_reference(g, depth):
+    """The rigidity experiment with the word algebra run on every
+    embedding: each certificate is verified and decomposed on its own."""
+    rigidity._require_atomic(g)
+    family = patches.doubling_family(g, depth)
+    seen_maps = set()
+    decs, fails = [], []
+    found = 0
+    for p in family:
+        for cert in embeddings.patch_certificates(g, p):
+            if cert.mapping in seen_maps:
+                continue
+            seen_maps.add(cert.mapping)
+            if not embeddings.verify_certificate(cert):
+                raise rigidity.RigidityError("patch produced an unverifiable embedding")
+            found += 1
+            dec = rigidity.decompose_embedding(cert)
+            if dec is None:
+                fails.append(cert)
+            else:
+                decs.append(dec)
+    return rigidity.RigidityReport(g, depth, len(family), found, tuple(decs), tuple(fails))

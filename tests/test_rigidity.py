@@ -8,7 +8,8 @@ from pcqi.patches import conjugate_generator
 from pcqi.words import GroupWord
 
 from conftest import cycle
-from oracles import decompose_oracle, spanning_trees_oracle
+from oracles import (decompose_oracle, rigidity_experiment_reference,
+                     spanning_trees_oracle)
 
 
 def test_spanning_trees_match_oracle(c5, petersen):
@@ -122,6 +123,20 @@ def test_decompose_reflection_with_conjugation(c5):
     dec = rigidity.decompose_embedding(cert)
     assert dec is not None
     assert dict(dec.automorphism) == refl
+
+
+def test_decompose_rejects_non_isomorphic_domain():
+    """The domain has only the edge ab of the codomain P3 a-b-c, so the
+    identity images are no embedding: sigma must map codomain edges onto
+    domain edges, not domain edges into the domain."""
+    p3 = graphs.graph("abc", [("a", "b"), ("b", "c")])
+    dom = graphs.graph("abc", [("a", "b")])
+    mapping = tuple((v, conjugate_generator(p3, v, words.identity(p3)))
+                    for v in p3.vertices)
+    cert = EmbeddingCertificate(dom, p3, mapping, ())
+    assert not embeddings.verify_certificate(cert)
+    assert rigidity.decompose_embedding(cert) is None
+    assert decompose_oracle(cert, 3) is None
 
 
 def test_experiment_depth0_counts_automorphisms(c5, petersen):
@@ -248,3 +263,65 @@ def test_decompose_long_conjugator_beyond_radius(c5):
     assert dec is not None
     assert dec.conjugator == words.normal_form(conj).letters
     assert dict(dec.automorphism) == identity
+
+
+def _relabel(g, seed):
+    perm = list(g.vertices)
+    random.Random(seed).shuffle(perm)
+    m = dict(zip(g.vertices, perm))
+    return graphs.graph(perm, [(m[a], m[b]) for a, b in map(tuple, g.edges)])
+
+
+@pytest.mark.parametrize("name,depth", [("c5", 2), ("c6", 1), ("c7", 1), ("petersen", 1)])
+def test_experiment_matches_reference(name, depth, c5, petersen):
+    """Decomposing once per conjugate copy gives the report of verifying
+    and decomposing every embedding on its own: patch and embedding
+    counts, decompositions in order, and failures."""
+    g = {"c5": c5, "c6": cycle(6), "c7": cycle(7), "petersen": petersen}[name]
+    for seed in (1, 2):
+        h = _relabel(g, seed)
+        assert rigidity.rigidity_experiment(h, depth) == rigidity_experiment_reference(h, depth)
+
+
+def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
+    """An embedding onto an already verified image set whose base map is
+    not an automorphism is not covered by the first one: it is verified in
+    full, and the experiment raises as the reference does."""
+    genuine = embeddings.patch_certificates
+    auts = graphs.automorphisms(c5)
+    rng = random.Random(5)
+
+    def with_shuffled(dom, p, limit=None):
+        certs = genuine(dom, p, limit)
+        verts = [v for v, _ in certs[0].mapping]
+        while True:
+            images = [cg for _, cg in certs[0].mapping]
+            rng.shuffle(images)
+            if {cg.base: v for v, cg in zip(verts, images)} not in auts:
+                break
+        return certs[:1] + [EmbeddingCertificate(dom, p.graph, tuple(zip(verts, images)),
+                                                 p.provenance)]
+
+    monkeypatch.setattr(embeddings, "patch_certificates", with_shuffled)
+    for experiment in (rigidity.rigidity_experiment, rigidity_experiment_reference):
+        with pytest.raises(rigidity.RigidityError, match="unverifiable"):
+            experiment(c5, 0)
+
+
+def test_experiment_petersen_depth2_counts(petersen):
+    rep = rigidity.rigidity_experiment(petersen, 2)
+    assert (rep.patch_count, rep.embeddings_found, rep.failures) == (146, 17520, ())
+
+
+@pytest.mark.parametrize("name,depth", [("c5", 2), ("petersen", 1)])
+def test_experiment_decomposes_verified_certificates(name, depth, c5, petersen):
+    """Each decomposition of the report rebuilds the certificate found at
+    its position, and that certificate verifies."""
+    g = {"c5": c5, "petersen": petersen}[name]
+    certs = _certificates(g, depth)
+    rep = rigidity.rigidity_experiment(g, depth)
+    assert len(rep.decompositions) == len(certs)
+    for cert, dec in zip(certs, rep.decompositions):
+        rebuilt = _conjugation_cert(g, dict(dec.automorphism), GroupWord(g, dec.conjugator))
+        assert rebuilt.mapping == cert.mapping
+        assert embeddings.verify_certificate(cert)
