@@ -7,7 +7,7 @@ from pcqi.embeddings import EmbeddingCertificate
 from pcqi.patches import conjugate_generator
 from pcqi.words import GroupWord
 
-from conftest import cycle
+from conftest import cycle, path, star
 from oracles import (decompose_oracle, rigidity_experiment_reference,
                      spanning_trees_oracle)
 
@@ -281,6 +281,35 @@ def test_experiment_matches_reference(name, depth, c5, petersen):
     for seed in (1, 2):
         h = _relabel(g, seed)
         assert rigidity.rigidity_experiment(h, depth) == rigidity_experiment_reference(h, depth)
+
+
+def _c6_with_chord():
+    vs = [f"v{i}" for i in range(6)]
+    return graphs.graph(vs, [(vs[i], vs[(i + 1) % 6]) for i in range(6)] + [("v0", "v3")])
+
+
+NEGATIVE_CONTROLS = {
+    "p4": (lambda: path(4), {1: (5, 18, 8), 2: (20, 134, 94)}),
+    "c4": (lambda: cycle(4), {1: (5, 72, 32), 2: (17, 472, 336)}),
+    "k13": (lambda: star(3), {1: (4, 168, 144), 2: (16, 3984, 3888)}),
+    "c6_chord": (_c6_with_chord, {1: (7, 76, 48), 2: (46, 1080, 896)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+@pytest.mark.parametrize("depth", [1, 2])
+def test_experiment_reports_failures_on_non_atomic_graphs(name, depth, monkeypatch):
+    """Negative controls for the failure path: with the atomic check
+    bypassed, P4, C4, the star K1,3 and C6 with a chord have embeddings into
+    their extension graphs that are no automorphism followed by a
+    conjugation.  The counts (patches, embeddings, failures) are pinned, and
+    the report, failures included and in order, is the reference's."""
+    monkeypatch.setattr(rigidity, "_require_atomic", lambda g: None)
+    build, counts = NEGATIVE_CONTROLS[name]
+    for h in (build(), _relabel(build(), 3)):
+        rep = rigidity.rigidity_experiment(h, depth)
+        assert (rep.patch_count, rep.embeddings_found, len(rep.failures)) == counts[depth]
+        assert rep == rigidity_experiment_reference(h, depth)
 
 
 def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
