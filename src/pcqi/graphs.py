@@ -10,12 +10,13 @@ unmatched domain vertex keeps a set of candidate images, first filtered
 by degree and then narrowed by every vertex mapped, and a branch is cut
 as soon as a set is empty.  Only branches with no embedding are cut, so
 the embeddings, and their order, are those of plain backtracking in the
-same domain and codomain orders.
+same domain and codomain orders.  Under the symmetry-breaking conditions
+of the domain's automorphism group the same search yields one embedding
+per image set.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -107,14 +108,6 @@ def induced_subgraph(g, verts) -> SimplicialGraph:
     if not vs <= set(g.vertices):
         raise GraphError("not a subset of the vertex set")
     return SimplicialGraph(tuple(sorted(vs)), frozenset(e for e in g.edges if e <= vs))
-
-
-def complement(g) -> SimplicialGraph:
-    es = frozenset(
-        frozenset(p) for p in itertools.combinations(g.vertices, 2)
-        if frozenset(p) not in g.edges
-    )
-    return SimplicialGraph(g.vertices, es)
 
 
 def connected_components(g):
@@ -342,23 +335,34 @@ class GraphEmbedding:
         return dict(self.mapping)
 
 
-def find_induced_embeddings(dom, cod, limit=None):
-    """Induced-subgraph embeddings dom -> cod, at most `limit` of them, by
+def _search_order(dom):
+    """Domain vertices in the order the embedding search matches them:
+    descending degree, ties broken lexicographically."""
+    return sorted(dom.vertices, key=lambda v: (-degree(dom, v), v))
+
+
+def _embedding_search(dom, cod, limit=None, conditions=()):
+    """(order, found): `order` is `_search_order(dom)`, and `found` holds
+    the induced embeddings dom -> cod, at most `limit` of them, as tuples of
+    codomain vertex indices in that order, in lexicographic order, found by
     forward-checking backtracking.
 
-    Domain vertices are matched in descending-degree order (ties broken
-    lexicographically) and the images of each are tried in codomain vertex
-    order, so the enumeration is deterministic.  Every unmatched domain
-    vertex keeps a candidate set, a bit mask over the codomain vertices,
-    that starts as the vertices of at least its degree.  Mapping v -> c
-    narrows the set of each later vertex to the neighbours of c if it is a
-    neighbour of v, and to the non-neighbours of c otherwise, and removes c;
-    a branch stops as soon as a set is empty.  Both filters remove only
-    maps with no completion, so the embeddings come out in the same order
-    as a search that tries every codomain vertex and checks each mapped
-    pair, for every `limit`.
+    The images of each domain vertex are tried in codomain vertex order.
+    Every unmatched domain vertex keeps a candidate set, a bit mask over the
+    codomain vertices, that starts as the vertices of at least its degree.
+    Mapping v -> c narrows the set of each later vertex to the neighbours of
+    c if it is a neighbour of v, and to the non-neighbours of c otherwise,
+    and removes c; a branch stops as soon as a set is empty.  Both filters
+    remove only maps with no completion, so the embeddings come out in the
+    same order as a search that tries every codomain vertex and checks each
+    mapped pair, for every `limit`.
+
+    `conditions` are pairs (a, b) of domain vertices, each requiring the
+    index of the image of a to be below that of b.  Each is one more cut
+    when the earlier-matched vertex of the pair is mapped: the set of the
+    later one keeps only the indices above, or below, that image.
     """
-    order = sorted(dom.vertices, key=lambda v: (-degree(dom, v), v))
+    order = _search_order(dom)
     dom_adj, cod_adj = adjacency(dom), adjacency(cod)
     bit = {c: 1 << k for k, c in enumerate(cod.vertices)}
     nbrs = [sum(bit[w] for w in cod_adj[c]) for c in cod.vertices]
@@ -366,6 +370,14 @@ def find_induced_embeddings(dom, cod, limit=None):
             for d in {len(dom_adj[v]) for v in order}}
     # later[i][j]: is order[i + 1 + j] a neighbour of order[i]?
     later = [[w in dom_adj[v] for w in order[i + 1:]] for i, v in enumerate(order)]
+    # cuts[i]: (j, above) when order[i + 1 + j] must map above (above is
+    # true) or below the image of order[i]
+    cuts = [[] for _ in order] if conditions else [()] * len(order)
+    if conditions:
+        pos = {v: i for i, v in enumerate(order)}
+        for a, b in conditions:
+            i, j = sorted((pos[a], pos[b]))
+            cuts[i].append((j - i - 1, pos[a] == i))
     image = [None] * len(order)
     out = []
 
@@ -373,9 +385,9 @@ def find_induced_embeddings(dom, cod, limit=None):
         """Map order[i:] with cands[j] the candidates of order[i + j];
         true once `limit` embeddings are found."""
         if i == len(order):
-            out.append(GraphEmbedding(dom, cod, tuple(sorted(zip(order, image)))))
+            out.append(tuple(image))
             return limit is not None and len(out) >= limit
-        untried, rest, rows = cands[0], cands[1:], later[i]
+        untried, rest, rows, cut = cands[0], cands[1:], later[i], cuts[i]
         while untried:
             low = untried & -untried
             untried ^= low
@@ -389,15 +401,57 @@ def find_induced_embeddings(dom, cod, limit=None):
                     break
                 narrowed.append(m)
             else:
-                image[i] = cod.vertices[k]
-                if extend(i + 1, narrowed):
-                    return True
+                for j, above in cut:
+                    narrowed[j] &= -(low << 1) if above else low - 1
+                    if not narrowed[j]:
+                        break
+                else:
+                    image[i] = k
+                    if extend(i + 1, narrowed):
+                        return True
         return False
 
     cands = [fits[len(dom_adj[v])] for v in order]
     if (limit is None or limit > 0) and all(cands):
         extend(0, cands)
-    return out
+    return order, out
+
+
+def find_induced_embeddings(dom, cod, limit=None):
+    """Induced-subgraph embeddings dom -> cod, at most `limit` of them.
+
+    Domain vertices are matched in `_search_order` (descending degree, ties
+    broken lexicographically) and the images of each are tried in codomain
+    vertex order, so the enumeration is deterministic: the embeddings come
+    out in lexicographic order of their codomain indices in that domain
+    order.  The search is `_embedding_search`, with no conditions.
+    """
+    order, found = _embedding_search(dom, cod, limit)
+    names = cod.vertices
+    return [GraphEmbedding(dom, cod, tuple(sorted(zip(order, [names[k] for k in f]))))
+            for f in found]
+
+
+def _symmetry_conditions(g, auts):
+    """Symmetry-breaking conditions for the automorphism group `auts` of g
+    (Grochow–Kellis, RECOMB 2007): pairs (v, w) asking the image of v to
+    come before that of w.
+
+    Repeatedly take the vertex v with the largest orbit under the group
+    (ties go to the least name), ask v to map below every other vertex of
+    its orbit, and pass to the stabiliser of v, until the group is trivial.
+    The embeddings of g onto one image set are m ∘ tau for tau in the group;
+    the conditions hold for exactly one of them, the one that sends each v
+    in turn to the least image of its orbit.  So a search under them yields
+    one embedding per image set."""
+    group = list(auts)
+    conditions = []
+    while len(group) > 1:
+        orbits = {v: {a[v] for a in group} for v in g.vertices}
+        v = min(g.vertices, key=lambda u: (-len(orbits[u]), u))
+        conditions.extend((v, w) for w in sorted(orbits[v]) if w != v)
+        group = [a for a in group if a[v] == v]
+    return conditions
 
 
 def are_isomorphic(g, h):

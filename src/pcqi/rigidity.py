@@ -159,7 +159,10 @@ class RigidityReport:
     """Outcome of `rigidity_experiment`.  The decomposition of each
     embedding is solved, not searched for, so every entry of `failures` is
     a genuine counterexample to atomic rigidity: an embedding that is not
-    a graph automorphism followed by a conjugation."""
+    a graph automorphism followed by a conjugation.  Decompositions and
+    failures are listed in the order of the full enumeration: patch by
+    patch, and within a patch in `graphs.find_induced_embeddings` order,
+    each embedding at its first patch."""
     graph: SimplicialGraph
     depth: int
     patch_count: int
@@ -241,55 +244,93 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     return Decomposition(conj, tuple(sorted(sigma.items())))
 
 
+def _patch_copies(g: SimplicialGraph, p: patches.Patch, conditions):
+    """(cgs, copies): the conjugate generators of p in the codomain order of
+    `patches.to_simplicial(p)`, and the embeddings of g into p that meet the
+    symmetry-breaking `conditions`, one per image set, as tuples of indices
+    into cgs in `graphs._search_order(g)`."""
+    cod = patches.to_simplicial(p)
+    names = patches.named_vertices(p)
+    _, copies = graphs._embedding_search(g, cod, conditions=conditions)
+    return [names[c] for c in cod.vertices], copies
+
+
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     """Enumerate every induced embedding of g into every patch reachable
     by `depth` doublings and attempt the (conjugator, automorphism)
     decomposition for each; failures are collected, not raised.
 
-    The word algebra runs once per conjugate copy of g, that is, once per
-    image set.  The first embedding onto a set is verified and decomposed
-    in full.  Its conjugator depends on the set alone, since the join and
-    the coset check read only the image with base v.  A later embedding m'
-    onto the same set whose base map sigma' is an automorphism is verified
-    and decomposed without the word algebra, by this argument:
+    The search and the word algebra run once per conjugate copy of g, that
+    is, once per image set; every other embedding onto the set follows by
+    composition with Aut(g), which is computed once.
 
-    - The first embedding m was verified, and its bases are a bijection
-      because they are those of m'.  v^x -> v is a graph homomorphism
-      ext(g) -> g (Fact 1 of Kim–Koberda, Geom. Topol. 2013, §3), so the
-      base map of m is a bijective graph homomorphism g -> g, which is an
-      automorphism; so is its inverse sigma.
-    - m and m' send sigma(v) and sigma'(v) to the one image with base v, so
-      m' = m ∘ tau with tau = sigma ∘ sigma'^-1 an automorphism.  So m' is
-      a verified embedding like m, and decomposes as (the set's conjugator,
-      sigma') exactly when m does.
+    - Two embeddings m, m' onto one image set differ by m^-1 ∘ m', an
+      automorphism of g.  So the embeddings onto the set are m ∘ tau for
+      tau in Aut(g), and a search under the symmetry-breaking conditions of
+      Aut(g) (`graphs._symmetry_conditions`) yields exactly one of them.
+      A patch that contains an image set holds every embedding onto it, so
+      an embedding was met in an earlier patch exactly when its image set
+      was, and a set of image sets replaces a set of mappings.
+    - Verification depends on the set alone: m ∘ tau has the images of m,
+      and tau carries the domain's edges onto themselves.  The copy m is
+      verified, and an unverifiable copy raises.
+    - Let sigma_m be the base map of m (`decompose_embedding`): the domain
+      vertex whose image has base v.  The base map of m ∘ tau is
+      tau^-1 ∘ sigma_m, an isomorphism exactly when sigma_m is.  The
+      conjugator is the join of the images taken by base, and the coset
+      check reads each image with base v, so it depends on the set alone.
+      So m ∘ tau decomposes, as (the copy's conjugator, tau^-1 ∘ sigma_m),
+      exactly when m does.
+    - When m decomposes, put c = m ∘ sigma_m, which sends v to the image with
+      base v.  For rho in Aut(g) the embedding c ∘ rho^-1 is m ∘ tau with
+      tau = sigma_m ∘ rho^-1, whose base map is rho.  So the copy expands to
+      the embeddings c ∘ rho^-1, each decomposing as (the conjugator, rho),
+      and the |Aut(g)| rho are shared by every image set.
 
-    Every other embedding is verified and decomposed in full, so one that
-    does not verify still raises."""
+    Each patch's new embeddings are sorted on their tuple of codomain
+    indices in search order, which is the order `find_induced_embeddings`
+    enumerates them in, so the report is that of decomposing every
+    embedding of every patch in turn.  A certificate is built only for a
+    failure."""
     _require_atomic(g)
     family = patches.doubling_family(g, depth)
-    seen_maps = set()
-    copies = {}     # image set -> conjugator of its first embedding, or None
+    order = graphs._search_order(g)
+    auts = graphs.automorphisms(g)
+    conditions = graphs._symmetry_conditions(g, auts)
+    # per rho: rho^-1 in search order, and rho as a decomposition's automorphism
+    expansion = [(tuple({w: v for v, w in rho.items()}[u] for u in order),
+                  tuple(sorted(rho.items())))
+                 for rho in auts]
+    seen = set()
     decs, fails = [], []
     found = 0
     for p in family:
-        for cert in embeddings.patch_certificates(g, p):
-            if cert.mapping in seen_maps:
+        cgs, copies = _patch_copies(g, p, conditions)
+        new = []    # (codomain indices in search order, Decomposition or None)
+        for copy in copies:
+            images = frozenset(cgs[k] for k in copy)
+            if images in seen:
                 continue
-            seen_maps.add(cert.mapping)
-            found += 1
-            images = frozenset(cg for _, cg in cert.mapping)
-            sigma = _base_map(cert)
-            if sigma is None or images not in copies:
-                if not embeddings.verify_certificate(cert):
-                    raise RigidityError("patch produced an unverifiable embedding")
-                dec = decompose_embedding(cert)
-                copies.setdefault(images, None if dec is None else dec.conjugator)
-            elif copies[images] is None:
-                dec = None
-            else:
-                dec = Decomposition(copies[images], tuple(sorted(sigma.items())))
+            seen.add(images)
+            m = dict(zip(order, copy))
+            cert = embeddings.EmbeddingCertificate(
+                g, p.graph, tuple(sorted((v, cgs[k]) for v, k in m.items())), p.provenance)
+            if not embeddings.verify_certificate(cert):
+                raise RigidityError("patch produced an unverifiable embedding")
+            dec = decompose_embedding(cert)
             if dec is None:
-                fails.append(cert)
+                new.extend((tuple(m[u] for u in inv), None) for inv, _ in expansion)
             else:
+                c = {v: m[u] for v, u in dec.automorphism}
+                new.extend((tuple(c[u] for u in inv), Decomposition(dec.conjugator, rho))
+                           for inv, rho in expansion)
+        new.sort(key=lambda item: item[0])
+        found += len(new)
+        for key, dec in new:
+            if dec is not None:
                 decs.append(dec)
+            else:
+                fails.append(embeddings.EmbeddingCertificate(
+                    g, p.graph, tuple(sorted(zip(order, (cgs[k] for k in key)))),
+                    p.provenance))
     return RigidityReport(g, depth, len(family), found, tuple(decs), tuple(fails))

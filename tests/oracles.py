@@ -273,6 +273,16 @@ def is_triangle_built_reference(g):
     return True
 
 
+def complement(g) -> graphs.SimplicialGraph:
+    """The complement graph, which the reference shape verdict reads its
+    join parts from."""
+    es = frozenset(
+        frozenset(p) for p in itertools.combinations(g.vertices, 2)
+        if frozenset(p) not in g.edges
+    )
+    return graphs.SimplicialGraph(g.vertices, es)
+
+
 def classify_shape_reference(g) -> graphs.ShapeVerdict:
     """Recognize the elementary shapes: cliques, edgeless graphs, trees,
     and joins of two edgeless parts (complete bipartite graphs).
@@ -292,7 +302,7 @@ def classify_shape_reference(g) -> graphs.ShapeVerdict:
         return ShapeVerdict("edgeless", (g.n,))
     if graphs.is_connected(g) and len(g.edges) == g.n - 1:
         return ShapeVerdict("tree", (graphs.diameter(g),))
-    comps = graphs.connected_components(graphs.complement(g))
+    comps = graphs.connected_components(complement(g))
     if len(comps) == 2:
         a, b = comps
         if not any(e <= a or e <= b for e in g.edges):

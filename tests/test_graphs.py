@@ -8,7 +8,7 @@ from pcqi import embeddings, graphs, patches
 
 from conftest import (all_trees, clique, cycle, edgeless, path, predicate_inputs,
                       random_graph, star)
-from oracles import (classify_shape_reference, diameter_reference,
+from oracles import (classify_shape_reference, complement, diameter_reference,
                      embeddings_oracle, find_induced_embeddings_reference,
                      girth_reference, is_triangle_built_reference)
 from test_acceptance import random_tree
@@ -181,6 +181,51 @@ def test_embedding_search_matches_reference_on_patches(path4):
                     == find_induced_embeddings_reference(g, plain))
 
 
+def _symmetry_broken_cases(rng, petersen):
+    for _ in range(300):
+        yield (random_graph(rng.randrange(1, 6), rng.random(), rng, "d"),
+               random_graph(rng.randrange(0, 9), rng.random(), rng, "c"))
+    for g in (cycle(5), cycle(6), petersen):
+        for p in patches.doubling_family(g, 1):
+            yield g, patches.to_simplicial(p)
+
+
+def test_symmetry_broken_search_finds_one_copy_per_image_set(rng, petersen):
+    """Under the symmetry-breaking conditions of Aut(dom) the search yields
+    each image set of the reference enumeration once, and expanding each
+    copy m to m ∘ tau for tau in Aut(dom), sorted on the codomain indices
+    in search order, gives the reference enumeration in order."""
+    for dom, cod in _symmetry_broken_cases(rng, petersen):
+        auts = graphs.automorphisms(dom)
+        conditions = graphs._symmetry_conditions(dom, auts)
+        order, copies = graphs._embedding_search(dom, cod, conditions=conditions)
+        want = find_induced_embeddings_reference(dom, cod)
+        sets = [frozenset(cod.vertices[k] for k in copy) for copy in copies]
+        assert len(set(sets)) == len(sets)
+        assert set(sets) == {frozenset(e.as_dict().values()) for e in want}
+        expanded = sorted(tuple(m[tau[u]] for u in order)
+                          for m in (dict(zip(order, copy)) for copy in copies)
+                          for tau in auts)
+        assert [graphs.GraphEmbedding(dom, cod, tuple(sorted(
+                    zip(order, (cod.vertices[k] for k in key)))))
+                for key in expanded] == want
+
+
+def test_symmetry_conditions_of_the_trivial_group_are_empty(c5):
+    identity = {v: v for v in c5.vertices}
+    assert graphs._symmetry_conditions(c5, [identity]) == []
+    # the smallest asymmetric graphs have six vertices
+    asym = graphs.graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                                   ("b", "f"), ("c", "f")])
+    auts = graphs.automorphisms(asym)
+    assert auts == [{v: v for v in asym.vertices}]
+    assert graphs._symmetry_conditions(asym, auts) == []
+    # vertex-transitive C5: v1 first below the other four, then the
+    # reflection fixing v1 swaps v2 with v5 and v3 with v4
+    assert graphs._symmetry_conditions(c5, graphs.automorphisms(c5)) == [
+        ("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v1", "v5"), ("v2", "v5")]
+
+
 def test_automorphism_counts(c5, petersen):
     assert len(graphs.automorphisms(c5)) == 10
     assert len(graphs.automorphisms(petersen)) == 120
@@ -205,7 +250,7 @@ def test_induced_subgraph_properties(n, data):
     keep = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
     sub = graphs.induced_subgraph(g, keep)
     assert graphs.classify_shape(sub).kind == "clique"
-    comp = graphs.complement(sub)
+    comp = complement(sub)
     assert not comp.edges
 
 

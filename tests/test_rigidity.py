@@ -265,8 +265,10 @@ def test_decompose_long_conjugator_beyond_radius(c5):
     assert dict(dec.automorphism) == identity
 
 
-def _relabel(g, seed):
-    perm = list(g.vertices)
+def _relabel(g, seed, names=None):
+    """g with its vertices renamed by a random permutation of `names`, by
+    default of its own vertex names."""
+    perm = list(names or g.vertices)
     random.Random(seed).shuffle(perm)
     m = dict(zip(g.vertices, perm))
     return graphs.graph(perm, [(m[a], m[b]) for a, b in map(tuple, g.edges)])
@@ -278,8 +280,10 @@ def test_experiment_matches_reference(name, depth, c5, petersen):
     and decomposing every embedding on its own: patch and embedding
     counts, decompositions in order, and failures."""
     g = {"c5": c5, "c6": cycle(6), "c7": cycle(7), "petersen": petersen}[name]
-    for seed in (1, 2):
-        h = _relabel(g, seed)
+    # names that are prefixes of each other ("a", "a0", ...) order a copy's
+    # images ("a^...", "a0") otherwise than their bases
+    prefixed = ["a" + "0" * k for k in range(g.n)]
+    for h in (_relabel(g, 1), _relabel(g, 2), _relabel(g, 3, prefixed)):
         assert rigidity.rigidity_experiment(h, depth) == rigidity_experiment_reference(h, depth)
 
 
@@ -313,25 +317,38 @@ def test_experiment_reports_failures_on_non_atomic_graphs(name, depth, monkeypat
 
 
 def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
-    """An embedding onto an already verified image set whose base map is
-    not an automorphism is not covered by the first one: it is verified in
-    full, and the experiment raises as the reference does."""
-    genuine = embeddings.patch_certificates
+    """A copy whose base map is not an automorphism does not verify.  The
+    experiment verifies each copy before expanding it, so a copy search
+    that returns one raises, as the reference does when such a certificate
+    is among those it decomposes."""
     auts = graphs.automorphisms(c5)
     rng = random.Random(5)
 
-    def with_shuffled(dom, p, limit=None):
-        certs = genuine(dom, p, limit)
-        verts = [v for v, _ in certs[0].mapping]
+    def shuffled(verts, images):
+        images = list(images)
         while True:
-            images = [cg for _, cg in certs[0].mapping]
             rng.shuffle(images)
             if {cg.base: v for v, cg in zip(verts, images)} not in auts:
-                break
+                return images
+
+    genuine_copies = rigidity._patch_copies
+
+    def with_shuffled_copy(g, p, conditions):
+        cgs, copies = genuine_copies(g, p, conditions)
+        images = shuffled(graphs._search_order(g), [cgs[k] for k in copies[0]])
+        return cgs, [tuple(cgs.index(cg) for cg in images)] + copies[1:]
+
+    genuine_certificates = embeddings.patch_certificates
+
+    def with_shuffled_certificate(dom, p, limit=None):
+        certs = genuine_certificates(dom, p, limit)
+        verts = [v for v, _ in certs[0].mapping]
+        images = shuffled(verts, [cg for _, cg in certs[0].mapping])
         return certs[:1] + [EmbeddingCertificate(dom, p.graph, tuple(zip(verts, images)),
                                                  p.provenance)]
 
-    monkeypatch.setattr(embeddings, "patch_certificates", with_shuffled)
+    monkeypatch.setattr(rigidity, "_patch_copies", with_shuffled_copy)
+    monkeypatch.setattr(embeddings, "patch_certificates", with_shuffled_certificate)
     for experiment in (rigidity.rigidity_experiment, rigidity_experiment_reference):
         with pytest.raises(rigidity.RigidityError, match="unverifiable"):
             experiment(c5, 0)
