@@ -63,6 +63,11 @@ def droms_decompose(g: SimplicialGraph) -> DromsDecomposition:
     union of strictly smaller triangle-built graphs."""
     if not graphs.is_triangle_built(g):
         raise graphs.GraphError("input is not triangle-built")
+    return _droms_split(g)
+
+
+def _droms_split(g: SimplicialGraph) -> DromsDecomposition:
+    """The Droms decomposition of g, which must be triangle-built."""
     uni = set(graphs.universal_vertices(g))
     rest = graphs.induced_subgraph(g, set(g.vertices) - uni)
     comps = sorted(
@@ -74,8 +79,12 @@ def droms_decompose(g: SimplicialGraph) -> DromsDecomposition:
 def _tb_class_key(g: SimplicialGraph):
     """Recursive QI-class invariant for triangle-built graphs: clique
     rank, whether the remainder is a nontrivial free product, and the SET
-    of class keys of components with at least two vertices."""
-    d = droms_decompose(g)
+    of class keys of components with at least two vertices.
+
+    g must be triangle-built; the caller checks it once, at the root.  The
+    components are induced subgraphs of g, and so triangle-built too, so
+    the recursion splits them without checking them again."""
+    d = _droms_split(g)
     big = [c for c in d.components if c.n >= 2]
     return (d.clique_rank, len(d.components) >= 2,
             frozenset(_tb_class_key(c) for c in big))

@@ -68,6 +68,24 @@ def test_droms_and_classify_pair_match_reference_scan(rng, monkeypatch):
     assert sum(v.klass == "triangle_built" for v in new[1]) > 2000
 
 
+def test_triangle_built_class_key_checks_each_root_once(monkeypatch):
+    """classify_pair checks each triangle-built input once, at the root;
+    the class-key recursion splits components without checking again."""
+    a = join(relabel(clique(1), "u"), disjoint(star(3), DIAMOND))
+    b = disjoint(a, clique(3))
+    c = join(relabel(clique(2), "w"), disjoint(a, path(2)))
+    calls = []
+    genuine = graphs.is_triangle_built
+    monkeypatch.setattr(graphs, "is_triangle_built",
+                        lambda g: calls.append(g) or genuine(g))
+    for d, g in ((a, b), (b, c), (c, a), (c, c)):
+        calls.clear()
+        verdict = classify.classify_pair(d, g)
+        assert verdict.klass == "triangle_built"
+        assert calls == [d, g]
+        assert all(key[2] for key in verdict.certificate)     # the recursion ran
+
+
 def test_ntree_with_comma_names_is_qi_to_a_relabelled_copy():
     simplices = [["a,b", "c", "x"], ["a,b", "c", "y"], ["c", "x", "a"],
                  ["x", "a", "b,c"], ["a", "b,c", "z"], ["a", "b,c", "w"]]
