@@ -306,18 +306,22 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     found = 0
     for p in family:
         cgs, copies = _patch_copies(g, p, conditions)
+
+        def certificate(key):
+            return embeddings.EmbeddingCertificate(
+                g, p.graph, tuple(sorted(zip(order, (cgs[k] for k in key)))), p.provenance)
+
         new = []    # (codomain indices in search order, Decomposition or None)
         for copy in copies:
             images = frozenset(cgs[k] for k in copy)
             if images in seen:
                 continue
             seen.add(images)
-            m = dict(zip(order, copy))
-            cert = embeddings.EmbeddingCertificate(
-                g, p.graph, tuple(sorted((v, cgs[k]) for v, k in m.items())), p.provenance)
+            cert = certificate(copy)
             if not embeddings.verify_certificate(cert):
                 raise RigidityError("patch produced an unverifiable embedding")
             dec = decompose_embedding(cert)
+            m = dict(zip(order, copy))
             if dec is None:
                 new.extend((tuple(m[u] for u in inv), None) for inv, _ in expansion)
             else:
@@ -330,7 +334,5 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
             if dec is not None:
                 decs.append(dec)
             else:
-                fails.append(embeddings.EmbeddingCertificate(
-                    g, p.graph, tuple(sorted(zip(order, (cgs[k] for k in key)))),
-                    p.provenance))
+                fails.append(certificate(key))
     return RigidityReport(g, depth, len(family), found, tuple(decs), tuple(fails))
