@@ -101,16 +101,20 @@ def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
 
 def patch_certificates(dom: SimplicialGraph, p: Patch, limit=None):
     """Certificates of the induced embeddings of `dom` into the patch `p`,
-    at most `limit` of them, in `graphs.find_induced_embeddings` order."""
-    found = graphs.find_induced_embeddings(dom, patches.to_simplicial(p), limit)
-    if not found:
-        return []
-    names = patches.named_vertices(p)
+    at most `limit` of them, in `graphs.find_induced_embeddings` order on
+    `patches.to_simplicial(p)`.  The search reads the patch's carried
+    `search_view`, not a named graph, so two patch vertices with one name
+    stay two vertices."""
+    return _certificates(dom, graphs._domain_plan(dom), p, limit)
+
+
+def _certificates(dom, plan, p, limit):
+    """`patch_certificates` with the domain's search plan built already."""
+    cgs, nbrs = p.search_view
     return [EmbeddingCertificate(
-                dom, p.graph,
-                tuple(sorted((v, names[img]) for v, img in emb.as_dict().items())),
+                dom, p.graph, tuple(sorted(zip(plan.order, [cgs[k] for k in f]))),
                 p.provenance)
-            for emb in found]
+            for f in graphs._embedding_search(plan, nbrs, limit)]
 
 
 def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
@@ -125,11 +129,12 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
     if dom.n == 0 or cod.n == 0:
         raise patches.PatchError("empty graph in embedding search")
     vertex_budget = patches.vertex_budget()
+    plan = graphs._domain_plan(dom)
     for level in range(budget.max_depth + 1):
         for p in _doubling_level(cod, level, vertex_budget):
             if p.n < dom.n:
                 continue
-            for cert in patch_certificates(dom, p, limit=1):
+            for cert in _certificates(dom, plan, p, limit=1):
                 if verify_certificate(cert):
                     return cert
     for radius in range(1, min(budget.max_depth, 2) + 1):
@@ -137,7 +142,7 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
             ball = patches.ball_patch(cod, radius)
         except patches.BudgetExceeded:
             break
-        for cert in patch_certificates(dom, ball, limit=1):
+        for cert in _certificates(dom, plan, ball, limit=1):
             if verify_certificate(cert):
                 return cert
     return None

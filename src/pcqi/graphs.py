@@ -12,7 +12,10 @@ as soon as a set is empty.  Only branches with no embedding are cut, so
 the embeddings, and their order, are those of plain backtracking in the
 same domain and codomain orders.  Under the symmetry-breaking conditions
 of the domain's automorphism group the same search yields one embedding
-per image set.
+per image set.  The search body reads the codomain as one neighbour bit
+mask per vertex index, not as a named graph, and the domain as a plan
+built once; so a caller holding masks (a patch of the extension graph)
+searches many codomains without building a graph for each.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -335,19 +339,49 @@ class GraphEmbedding:
         return dict(self.mapping)
 
 
-def _search_order(dom):
-    """Domain vertices in the order the embedding search matches them:
-    descending degree, ties broken lexicographically."""
-    return sorted(dom.vertices, key=lambda v: (-degree(dom, v), v))
+class _DomainPlan(NamedTuple):
+    """What the embedding search needs of its domain, built once by
+    `_domain_plan` and shared by every codomain searched."""
+    order: list         # the domain vertices in the order they are matched
+    degrees: list       # degrees[i]: the degree of order[i]
+    later: list         # later[i][j]: is order[i + 1 + j] a neighbour of order[i]?
+    cuts: list          # cuts[i]: (j, above) when order[i + 1 + j] must map
+                        # above (above is true) or below the image of order[i]
 
 
-def _embedding_search(dom, cod, limit=None, conditions=()):
-    """(order, found): `order` is `_search_order(dom)`, and `found` holds
-    the induced embeddings dom -> cod, at most `limit` of them, as tuples of
-    codomain vertex indices in that order, in lexicographic order, found by
-    forward-checking backtracking.
+def _domain_plan(dom, conditions=()):
+    """The search plan of `dom` under `conditions`, pairs (a, b) of domain
+    vertices each requiring the index of the image of a to be below that
+    of b (see `_embedding_search`).  The vertices are matched in descending
+    degree, ties broken lexicographically: this is the one definition of
+    the matching order."""
+    adj = adjacency(dom)
+    order = sorted(dom.vertices, key=lambda v: (-len(adj[v]), v))
+    later = [[w in adj[v] for w in order[i + 1:]] for i, v in enumerate(order)]
+    cuts = [[] for _ in order] if conditions else [()] * len(order)
+    if conditions:
+        pos = {v: i for i, v in enumerate(order)}
+        for a, b in conditions:
+            i, j = sorted((pos[a], pos[b]))
+            cuts[i].append((j - i - 1, pos[a] == i))
+    return _DomainPlan(order, [len(adj[v]) for v in order], later, cuts)
 
-    The images of each domain vertex are tried in codomain vertex order.
+
+def _masks(g):
+    """Each vertex's neighbours as a bit mask over the vertices of g, in
+    vertex order: the codomain form `_embedding_search` reads."""
+    bit = {v: 1 << k for k, v in enumerate(g.vertices)}
+    adj = adjacency(g)
+    return [sum(bit[w] for w in adj[v]) for v in g.vertices]
+
+
+def _embedding_search(plan, nbrs, limit=None):
+    """The induced embeddings of the domain of `plan` into the codomain
+    whose k-th vertex has the neighbour mask nbrs[k], at most `limit` of
+    them, as tuples of codomain indices in `plan.order`, in lexicographic
+    order, found by forward-checking backtracking.
+
+    The images of each domain vertex are tried in codomain index order.
     Every unmatched domain vertex keeps a candidate set, a bit mask over the
     codomain vertices, that starts as the vertices of at least its degree.
     Mapping v -> c narrows the set of each later vertex to the neighbours of
@@ -357,27 +391,14 @@ def _embedding_search(dom, cod, limit=None, conditions=()):
     same order as a search that tries every codomain vertex and checks each
     mapped pair, for every `limit`.
 
-    `conditions` are pairs (a, b) of domain vertices, each requiring the
-    index of the image of a to be below that of b.  Each is one more cut
-    when the earlier-matched vertex of the pair is mapped: the set of the
-    later one keeps only the indices above, or below, that image.
+    Each condition of the plan is one more cut when the earlier-matched
+    vertex of its pair is mapped: the set of the later one keeps only the
+    indices above, or below, that image.
     """
-    order = _search_order(dom)
-    dom_adj, cod_adj = adjacency(dom), adjacency(cod)
-    bit = {c: 1 << k for k, c in enumerate(cod.vertices)}
-    nbrs = [sum(bit[w] for w in cod_adj[c]) for c in cod.vertices]
-    fits = {d: sum(bit[c] for c in cod.vertices if len(cod_adj[c]) >= d)
-            for d in {len(dom_adj[v]) for v in order}}
-    # later[i][j]: is order[i + 1 + j] a neighbour of order[i]?
-    later = [[w in dom_adj[v] for w in order[i + 1:]] for i, v in enumerate(order)]
-    # cuts[i]: (j, above) when order[i + 1 + j] must map above (above is
-    # true) or below the image of order[i]
-    cuts = [[] for _ in order] if conditions else [()] * len(order)
-    if conditions:
-        pos = {v: i for i, v in enumerate(order)}
-        for a, b in conditions:
-            i, j = sorted((pos[a], pos[b]))
-            cuts[i].append((j - i - 1, pos[a] == i))
+    order, later, cuts = plan.order, plan.later, plan.cuts
+    degrees = [m.bit_count() for m in nbrs]
+    fits = {d: sum(1 << k for k, e in enumerate(degrees) if e >= d)
+            for d in set(plan.degrees)}
     image = [None] * len(order)
     out = []
 
@@ -411,25 +432,25 @@ def _embedding_search(dom, cod, limit=None, conditions=()):
                         return True
         return False
 
-    cands = [fits[len(dom_adj[v])] for v in order]
+    cands = [fits[d] for d in plan.degrees]
     if (limit is None or limit > 0) and all(cands):
         extend(0, cands)
-    return order, out
+    return out
 
 
 def find_induced_embeddings(dom, cod, limit=None):
     """Induced-subgraph embeddings dom -> cod, at most `limit` of them.
 
-    Domain vertices are matched in `_search_order` (descending degree, ties
-    broken lexicographically) and the images of each are tried in codomain
+    Domain vertices are matched in `_domain_plan` order (descending degree,
+    ties broken lexicographically) and the images of each are tried in codomain
     vertex order, so the enumeration is deterministic: the embeddings come
     out in lexicographic order of their codomain indices in that domain
     order.  The search is `_embedding_search`, with no conditions.
     """
-    order, found = _embedding_search(dom, cod, limit)
+    plan = _domain_plan(dom)
     names = cod.vertices
-    return [GraphEmbedding(dom, cod, tuple(sorted(zip(order, [names[k] for k in f]))))
-            for f in found]
+    return [GraphEmbedding(dom, cod, tuple(sorted(zip(plan.order, [names[k] for k in f]))))
+            for f in _embedding_search(plan, _masks(cod), limit)]
 
 
 def _symmetry_conditions(g, auts):

@@ -133,6 +133,22 @@ class Patch:
     def has_vertex(self, cg):
         return cg in self.vertex_set
 
+    @cached_property
+    def search_view(self) -> tuple:
+        """(cgs, nbrs): the vertices in the order of `to_simplicial`'s
+        names, ties broken by (base, conj), and each one's neighbours as a
+        bit mask over that order, built from `cg_edges` on first use; not
+        part of equality or hashing.  The embedding search reads this view,
+        so vertices whose names coincide stay distinct."""
+        cgs = sorted(self.cg_vertices, key=lambda cg: (cg.name(), cg))
+        index = {cg: k for k, cg in enumerate(cgs)}
+        nbrs = [0] * len(cgs)
+        for e in self.cg_edges:
+            a, b = (index[x] for x in e)
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        return tuple(cgs), nbrs
+
 
 def _build(g, cgs, provenance, edges=(), pairs=None):
     """Patch on `cgs` (first occurrences, in order) whose edges are `edges`
@@ -260,8 +276,9 @@ def recompute_edges(p: Patch) -> Patch:
 
 
 def to_simplicial(p: Patch) -> SimplicialGraph:
-    """The patch as a plain graph on conjugate-generator names."""
-    names = {cg: cg.name() for cg in p.cg_vertices}
+    """The patch as a plain graph on conjugate-generator names, for output;
+    PatchError when two patch vertices share a name."""
+    names = {cg: name for name, cg in named_vertices(p).items()}
     return graphs.graph(
         names.values(),
         [(names[a], names[b]) for e in p.cg_edges for a, b in [tuple(e)]],
@@ -269,8 +286,15 @@ def to_simplicial(p: Patch) -> SimplicialGraph:
 
 
 def named_vertices(p: Patch) -> dict:
-    """Name -> conjugate generator, matching `to_simplicial`."""
-    return {cg.name(): cg for cg in p.cg_vertices}
+    """Name -> conjugate generator, matching `to_simplicial`; PatchError
+    when two patch vertices share a name, which a base vertex name holding
+    `^` or a space allows."""
+    named = {}
+    for cg in p.cg_vertices:
+        name = cg.name()
+        if named.setdefault(name, cg) is not cg:
+            raise PatchError(f"two patch vertices are named {name!r}")
+    return named
 
 
 # ---------------------------------------------------------------------------

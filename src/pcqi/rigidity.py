@@ -244,15 +244,13 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     return Decomposition(conj, tuple(sorted(sigma.items())))
 
 
-def _patch_copies(g: SimplicialGraph, p: patches.Patch, conditions):
-    """(cgs, copies): the conjugate generators of p in the codomain order of
-    `patches.to_simplicial(p)`, and the embeddings of g into p that meet the
-    symmetry-breaking `conditions`, one per image set, as tuples of indices
-    into cgs in `graphs._search_order(g)`."""
-    cod = patches.to_simplicial(p)
-    names = patches.named_vertices(p)
-    _, copies = graphs._embedding_search(g, cod, conditions=conditions)
-    return [names[c] for c in cod.vertices], copies
+def _patch_copies(plan, p: patches.Patch):
+    """(cgs, copies): the conjugate generators of p in the order of its
+    `search_view`, and the embeddings into p that meet the symmetry-breaking
+    conditions of the domain's search `plan`, one per image set, as tuples
+    of indices into cgs in `plan.order`."""
+    cgs, nbrs = p.search_view
+    return cgs, graphs._embedding_search(plan, nbrs)
 
 
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
@@ -294,9 +292,9 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     failure."""
     _require_atomic(g)
     family = patches.doubling_family(g, depth)
-    order = graphs._search_order(g)
     auts = graphs.automorphisms(g)
-    conditions = graphs._symmetry_conditions(g, auts)
+    plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, auts))
+    order = plan.order
     # per rho: rho^-1 in search order, and rho as a decomposition's automorphism
     expansion = [(tuple({w: v for v, w in rho.items()}[u] for u in order),
                   tuple(sorted(rho.items())))
@@ -305,7 +303,7 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     decs, fails = [], []
     found = 0
     for p in family:
-        cgs, copies = _patch_copies(g, p, conditions)
+        cgs, copies = _patch_copies(plan, p)
 
         def certificate(key):
             return embeddings.EmbeddingCertificate(

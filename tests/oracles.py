@@ -206,6 +206,21 @@ def find_induced_embeddings_reference(dom, cod, limit=None):
     return out
 
 
+def patch_certificates_reference(dom, p, limit=None):
+    """The route from a patch to certificates that the carried search view
+    replaced, kept verbatim: search the named graph `to_simplicial(p)` and
+    map the images back through `named_vertices(p)`."""
+    found = graphs.find_induced_embeddings(dom, patches.to_simplicial(p), limit)
+    if not found:
+        return []
+    names = patches.named_vertices(p)
+    return [embeddings.EmbeddingCertificate(
+                dom, p.graph,
+                tuple(sorted((v, names[img]) for v, img in emb.as_dict().items())),
+                p.provenance)
+            for emb in found]
+
+
 def diameter_reference(g):
     """Exact diameter by BFS from every vertex, or None when g is
     disconnected or empty."""
@@ -606,7 +621,7 @@ def rigidity_experiment_reference(g, depth):
     decs, fails = [], []
     found = 0
     for p in family:
-        for cert in embeddings.patch_certificates(g, p):
+        for cert in patch_certificates_reference(g, p):
             if cert.mapping in seen_maps:
                 continue
             seen_maps.add(cert.mapping)

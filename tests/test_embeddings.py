@@ -4,7 +4,9 @@ from pcqi import embeddings, graphs, patches, words
 from pcqi.embeddings import EmbeddingCertificate, SearchBudget
 from pcqi.patches import ConjugateGenerator
 
-from conftest import clique, cycle, edgeless, path, star
+from conftest import all_trees, clique, cycle, edgeless, path, random_graph, star
+from oracles import patch_certificates_reference
+from test_patches import _name_clash_patch, _view_patches
 
 
 def test_identity_found_at_depth_zero(c5):
@@ -112,3 +114,45 @@ def test_doubling_levels_follow_the_vertex_budget(c5, monkeypatch):
     assert levels() == [1, 5, 30, 285]
     cert = embeddings.search_embedding(path(7), c5, budget)
     assert cert is not None and len(cert.provenance) == 2
+
+
+def test_patch_certificates_match_the_named_graph_route(rng, c5, petersen, path4):
+    """The search on the carried view gives the certificates, in order, of
+    searching `to_simplicial(p)` and mapping back by name, for every limit."""
+    for p in _view_patches(c5, petersen, path4):
+        for dom in [random_graph(rng.randrange(1, 6), rng.random(), rng, "d")
+                    for _ in range(3)] + [path(4), cycle(5)]:
+            for limit in (None, 0, 1, 2, 7):
+                assert (embeddings.patch_certificates(dom, p, limit)
+                        == patch_certificates_reference(dom, p, limit))
+
+
+def test_patch_certificates_keep_vertices_that_share_a_name():
+    """The patch is the star K1,5 on six conjugate generators, two of them
+    named a^b.  Its own graph embeds onto it 5! ways; through names the
+    two would merge into one vertex and no embedding would be found."""
+    p = _name_clash_patch()
+    label = {cg: f"u{k}" for k, cg in enumerate(p.cg_vertices)}
+    own = graphs.graph(label.values(), [tuple(label[x] for x in e) for e in p.cg_edges])
+    certs = embeddings.patch_certificates(own, p)
+    assert len(certs) == 120
+    assert all(embeddings.verify_certificate(cert) for cert in certs)
+    assert {frozenset(cg for _, cg in cert.mapping) for cert in certs} == {p.vertex_set}
+
+
+def test_search_needs_no_named_patch_graph(c5, wedge, path4, monkeypatch):
+    """Searching and the rigidity experiment read the carried view: with
+    the named-graph route disabled they still succeed."""
+    from pcqi import rigidity
+
+    def refuse(p):
+        raise AssertionError("named patch graph built during a search")
+
+    monkeypatch.setattr(patches, "to_simplicial", refuse)
+    monkeypatch.setattr(patches, "named_vertices", refuse)
+    budget = SearchBudget(max_depth=4)
+    for dom, cod in ((wedge, c5), (c5, wedge), (all_trees(7)[-1], path4)):
+        cert = embeddings.search_embedding(dom, cod, budget)
+        assert cert is not None and embeddings.verify_certificate(cert)
+    rep = rigidity.rigidity_experiment(c5, 2)
+    assert (rep.patch_count, rep.embeddings_found, rep.failures) == (31, 310, ())

@@ -198,7 +198,8 @@ def test_symmetry_broken_search_finds_one_copy_per_image_set(rng, petersen):
     for dom, cod in _symmetry_broken_cases(rng, petersen):
         auts = graphs.automorphisms(dom)
         conditions = graphs._symmetry_conditions(dom, auts)
-        order, copies = graphs._embedding_search(dom, cod, conditions=conditions)
+        plan = graphs._domain_plan(dom, conditions)
+        order, copies = plan.order, graphs._embedding_search(plan, graphs._masks(cod))
         want = find_induced_embeddings_reference(dom, cod)
         sets = [frozenset(cod.vertices[k] for k in copy) for copy in copies]
         assert len(set(sets)) == len(sets)

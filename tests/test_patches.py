@@ -232,6 +232,55 @@ def test_has_vertex_matches_vertex_tuple(c5):
         assert p.has_vertex(cg) == (cg in p.cg_vertices)
 
 
+def _name_clash_patch():
+    """Vertices a, b, a^b and c, with c joined to the other three, doubled
+    at b: the conjugate a^b of a and the base vertex a^b share a name."""
+    g = graphs.graph(["a", "b", "a^b", "c"], [("c", "a"), ("c", "b"), ("c", "a^b")])
+    return patches.double_along_star(patches.base_patch(g), ConjugateGenerator("b", ()), 1)
+
+
+def test_shared_names_are_refused_not_merged():
+    p = _name_clash_patch()
+    assert p.n == 6 and len({cg.name() for cg in p.cg_vertices}) == 5
+    for output in (patches.to_simplicial, patches.named_vertices):
+        with pytest.raises(patches.PatchError, match="'a\\^b'"):
+            output(p)
+    # the search view keeps all six, ties in name broken by (base, conj)
+    cgs, nbrs = p.search_view
+    assert [cg.name() for cg in cgs] == ["a", "a^b", "a^b", "a^b^b", "b", "c"]
+    assert cgs[1:3] == (ConjugateGenerator("a", (("b", 1),)), ConjugateGenerator("a^b", ()))
+    assert nbrs == [1 << 5] * 5 + [(1 << 5) - 1]
+
+
+def test_cli_dot_refuses_shared_names(tmp_path, capsys):
+    p = _name_clash_patch()
+    f = tmp_path / "g.json"
+    f.write_text(graphs.to_json(p.graph))
+    assert cli.main(["patch", "--graph", str(f), "--double", "b"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 6
+    assert cli.main(["patch", "--graph", str(f), "--double", "b", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "'a^b'" in captured.err
+
+
+def _view_patches(c5, petersen, path4):
+    yield from patches.doubling_family(c5, 2)
+    yield from patches.doubling_family(petersen, 1)
+    yield from (patches.ball_patch(path4, r) for r in (1, 2))
+
+
+def test_search_view_matches_to_simplicial(c5, petersen, path4):
+    """Where names are distinct, the carried view is `to_simplicial`'s
+    graph: the same vertices name for name and the same neighbour masks."""
+    for p in _view_patches(c5, petersen, path4):
+        cgs, nbrs = p.search_view
+        s = patches.to_simplicial(p)
+        assert tuple(cg.name() for cg in cgs) == s.vertices
+        assert nbrs == graphs._masks(s)
+        assert p.search_view is p.search_view
+
+
 def test_doubling_family(c5, monkeypatch):
     fam = patches.doubling_family(c5, 2)
     assert [p.n for p in fam[:2]] == [5, 7]

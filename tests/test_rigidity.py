@@ -7,6 +7,7 @@ from pcqi.embeddings import EmbeddingCertificate
 from pcqi.patches import conjugate_generator
 from pcqi.words import GroupWord
 
+import oracles
 from conftest import cycle, path, star
 from oracles import (decompose_oracle, rigidity_experiment_reference,
                      spanning_trees_oracle)
@@ -333,12 +334,12 @@ def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
 
     genuine_copies = rigidity._patch_copies
 
-    def with_shuffled_copy(g, p, conditions):
-        cgs, copies = genuine_copies(g, p, conditions)
-        images = shuffled(graphs._search_order(g), [cgs[k] for k in copies[0]])
+    def with_shuffled_copy(plan, p):
+        cgs, copies = genuine_copies(plan, p)
+        images = shuffled(plan.order, [cgs[k] for k in copies[0]])
         return cgs, [tuple(cgs.index(cg) for cg in images)] + copies[1:]
 
-    genuine_certificates = embeddings.patch_certificates
+    genuine_certificates = oracles.patch_certificates_reference
 
     def with_shuffled_certificate(dom, p, limit=None):
         certs = genuine_certificates(dom, p, limit)
@@ -348,7 +349,7 @@ def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
                                                  p.provenance)]
 
     monkeypatch.setattr(rigidity, "_patch_copies", with_shuffled_copy)
-    monkeypatch.setattr(embeddings, "patch_certificates", with_shuffled_certificate)
+    monkeypatch.setattr(oracles, "patch_certificates_reference", with_shuffled_certificate)
     for experiment in (rigidity.rigidity_experiment, rigidity_experiment_reference):
         with pytest.raises(rigidity.RigidityError, match="unverifiable"):
             experiment(c5, 0)
