@@ -3,7 +3,8 @@ and induced-subgraph search.
 
 Vertex names are opaque strings; the total order on vertices is
 lexicographic and fixed at construction.  All graphs are immutable and
-hashable, so derived data (adjacency maps) is stored on the graph.
+hashable, so derived data (the adjacency and closed-star maps, the hash)
+is stored on the graph.
 
 Induced-subgraph search is backtracking with forward checking: each
 unmatched domain vertex keeps a set of candidate images, first filtered
@@ -48,6 +49,7 @@ class SimplicialGraph:
                 raise GraphError(f"bad edge {set(e)}")
             if not e <= seen:
                 raise GraphError(f"edge endpoint not declared: {set(e)}")
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
     @cached_property
     def vertex_set(self) -> frozenset:
@@ -65,6 +67,18 @@ class SimplicialGraph:
             adj[a].add(b)
             adj[b].add(a)
         return MappingProxyType({v: frozenset(ns) for v, ns in adj.items()})
+
+    @cached_property
+    def stars(self) -> MappingProxyType:
+        """Read-only map of each vertex to its closed star, built on first
+        use; not part of equality or hashing."""
+        return MappingProxyType({v: ns | {v} for v, ns in self.adjacency.items()})
+
+    def __hash__(self):
+        # Computed once in __post_init__, outside equality: the dataclass
+        # hash would rehash the vertex tuple on every call, and graphs key
+        # the word and patch caches.
+        return self._hash
 
     def __contains__(self, v):
         return v in self.vertex_set
@@ -99,8 +113,10 @@ def link(g, v):
 
 
 def star(g, v):
-    """v together with its neighbours (the closed star)."""
-    return link(g, v) | {v}
+    """v together with its neighbours (the closed star), as a frozenset."""
+    if v not in g:
+        raise GraphError(f"unknown vertex {v!r}")
+    return g.stars[v]
 
 
 def degree(g, v):
@@ -170,35 +186,54 @@ def diameter(g):
 def girth(g):
     """Length of a shortest cycle, or None for forests.
 
-    BFS from every vertex.  A non-tree edge at u closes a walk through the
-    root of length at least 2·dist[u], so a root's search stops once that
-    reaches the best cycle already found.  Vertices are indexed once and
-    the searches run on lists; no cycle is longer than n, so n + 1 stands
-    for "none found".
+    A breadth-first search from each root in turn, level by level on
+    neighbour bit masks built from `g.edges`.  With the vertices at
+    distance d from the root as level d, an edge inside level d closes a
+    cycle of length at most 2d + 1, and a vertex of level d + 1 with two
+    neighbours in level d one of length at most 2d + 2; a root on a
+    shortest cycle finds it so, at the first level where it can.  A root's
+    search stops at its first such level, or once 2d + 1 reaches the best
+    cycle already found.  Each root is deleted after its search: a shortest
+    cycle is found from its first vertex, while all its vertices are left.
+    No cycle is longer than n, so n + 1 stands for "none found".
     """
-    adj = adjacency(g)
     index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[w] for w in adj[v]] for v in g.vertices]
+    nbrs = [0] * len(index)
+    for a, b in g.edges:
+        a, b = index[a], index[b]
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
     n = len(nbrs)
     best = n + 1
     for root in range(n):
-        dist, parent = [-1] * n, [-1] * n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if 2 * du >= best:
+        bit = 1 << root
+        seen = level = bit
+        d = 0
+        while level and 2 * d + 1 < best:
+            nxt, found, rest = 0, 0, level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m = nbrs[low.bit_length() - 1]
+                if m & level:       # an edge inside level d
+                    found = 2 * d + 1
+                    break
+                m &= ~seen
+                if m & nxt:         # a vertex of level d + 1 with two parents
+                    found = 2 * d + 2
+                nxt |= m
+            if found:
+                best = found
                 break
-            for w in nbrs[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cyc = du + dist[w] + 1
-                    if cyc < best:
-                        best = cyc
+            seen |= nxt
+            level = nxt
+            d += 1
+        # Delete the root: the later searches run on the rest of the graph.
+        row, nbrs[root] = nbrs[root], 0
+        while row:
+            low = row & -row
+            row ^= low
+            nbrs[low.bit_length() - 1] ^= bit
     return best if best <= n else None
 
 

@@ -10,11 +10,12 @@ Kim–Koberda (*Embedability between right-angled Artin groups*, Geom.
 Topol. 2013, §3), v^g -> v is a graph homomorphism from the extension
 graph onto the defining graph: two distinct vertices can be adjacent only
 when their bases are, so `commute_cg` runs the word algebra only on pairs
-with adjacent bases.  A base or ball patch tests every pair; a doubling
-fixes the closed star of its center, carries the parent's edges over to
-the conjugated copy (conjugation is an automorphism of the extension
-graph), and tests only the pairs with one end outside the copy, the other
-outside the parent, and adjacent bases.
+with adjacent bases, where it strips one coset of the shorter word y x^-1
+instead of reducing a commutator.  A base or ball patch tests every pair;
+a doubling fixes the closed star of its center, carries the parent's other
+edges over to the conjugated copy (conjugation is an automorphism of the
+extension graph), and tests only the pairs with one end outside the copy,
+the other outside the parent, and adjacent bases.
 """
 
 from __future__ import annotations
@@ -50,13 +51,26 @@ class BudgetExceeded(PatchError):
 
 @dataclass(frozen=True, order=True)
 class ConjugateGenerator:
+    # Slots keep an instance small; the hash is computed once and the name
+    # on first use, and neither is part of equality or ordering.
+    __slots__ = ("base", "conj", "_hash", "_name")
     base: str
     conj: tuple   # canonical coset-representative letters
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.conj)))
+
+    def __hash__(self):
+        return self._hash
+
     def name(self):
-        if not self.conj:
-            return self.base
-        return f"{self.base}^" + words.format_letters(self.conj)
+        try:
+            return self._name
+        except AttributeError:
+            name = (f"{self.base}^" + words.format_letters(self.conj)
+                    if self.conj else self.base)
+            object.__setattr__(self, "_name", name)
+            return name
 
     def conj_word(self, g: SimplicialGraph) -> GroupWord:
         return GroupWord(g, self.conj)
@@ -75,14 +89,15 @@ def conjugate_generator(g: SimplicialGraph, base: str, conj: GroupWord) -> Conju
 
 @lru_cache(maxsize=COMMUTE_CACHE_SIZE)
 def _commute_cg(g: SimplicialGraph, a: ConjugateGenerator, b: ConjugateGenerator) -> bool:
-    # Called only on distinct, adjacent bases.  u^x commutes with w^y iff
-    # conjugating both by x^-1 reduces to [u, w^(y x^-1)] = 1, i.e.
-    # membership of the shifted w, the raw word x y^-1 w y x^-1, in the
-    # parabolic centralizer of u, which is generated by the closed star:
-    # only its support after cancellation matters.
-    shifted = (a.conj + words.inverse_letters(b.conj) + ((b.base, 1),)
-               + b.conj + words.inverse_letters(a.conj))
-    return words.reduced_support(g, shifted) <= graphs.star(g, a.base)
+    # Called only on distinct, adjacent bases u = a.base and w = b.base,
+    # with a = u^x and b = w^y.  Conjugating both by x^-1 leaves u and
+    # w^(y x^-1) = q^-1 w q, with q the shortest word of the coset
+    # C(w)·(y x^-1).  That word is reduced because q is shortest, so its
+    # support is supp(q) ∪ {w}, and w is in st(u).  So the pair commutes
+    # iff supp(q) lies in st(u), which generates the centralizer of u.
+    st = g.stars[a.base]
+    return all(gen in st for gen, _ in words._coset_strip(
+        g, b.base, b.conj + words.inverse_letters(a.conj)))
 
 
 def commute_cg(g, a, b) -> bool:
@@ -104,13 +119,19 @@ def commute_cg(g, a, b) -> bool:
       u to 1, so its <lk u> factor is trivial, and its <u> factor is u
       by the exponent sum.  So y x^-1 lies in C(u), the cosets C(u)x and
       C(u)y agree, and the canonical conjugators make a equal to b.
+
+    Adjacent bases u, w, with a = u^x and b = w^y, go to the half-length
+    test `_commute_cg`: the pair commutes iff supp(q) lies in st(u), for q
+    the shortest word of the coset C(w)·(y x^-1).  It reduces the |x| + |y|
+    letters of y x^-1, where the support of the shifted generator
+    x y^-1 w y x^-1 takes 2|x| + 2|y| + 1.
     """
     if a.base == b.base:
         return a == b
     if b.base not in graphs.link(g, a.base):
         return False
-    key = (a, b) if a <= b else (b, a)
-    return _commute_cg(g, *key)
+    # The bases differ, so ordering by base orders the pair as `<=` would.
+    return _commute_cg(g, a, b) if a.base < b.base else _commute_cg(g, b, a)
 
 
 @dataclass(frozen=True)
@@ -183,13 +204,15 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
         if step[0] == "double" and step[1] == center and step[2] == exponent:
             raise PatchError(f"stale exponent {exponent} at {center}")
     g = p.graph
-    z = GroupWord(g, ((center.base, 1 if exponent > 0 else -1),) * abs(exponent))
-    zc = words.conjugate(z, center.conj_word(g))    # (base^k)^conjugator
+    # zc = c^-1 z^exponent c, with z the center's base and c its conjugator.
+    zc = (words.inverse_letters(center.conj)
+          + ((center.base, 1 if exponent > 0 else -1),) * abs(exponent)
+          + center.conj)
     # The closed star of the center commutes with zc, and vertices are
     # canonical, so it maps to itself without a coset computation.
     fixed = {x for e in p.cg_edges if center in e for x in e} | {center}
     image = {cg: cg if cg in fixed
-             else conjugate_generator(g, cg.base, cg.conj_word(g) * zc)
+             else ConjugateGenerator(cg.base, words._coset_letters(g, cg.base, cg.conj + zc))
              for cg in p.cg_vertices}
     # Conjugation is an automorphism of the extension graph, so the copy's
     # edges are the parent's carried over.  Only pairs with one end outside
@@ -203,7 +226,8 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
         new_by_base.setdefault(cg.base, []).append(cg)
     pairs = [(x, y) for x in outside for base in graphs.link(g, x.base)
              for y in new_by_base.get(base, ())]
-    carried = {frozenset(image[x] for x in e) for e in p.cg_edges}
+    # An edge inside the fixed star is its own image, already in the parent.
+    carried = {frozenset(image[x] for x in e) for e in p.cg_edges if not e <= fixed}
     return _build(
         g, p.cg_vertices + tuple(new),
         p.provenance + (("double", center, exponent),),
@@ -278,10 +302,11 @@ def recompute_edges(p: Patch) -> Patch:
 def to_simplicial(p: Patch) -> SimplicialGraph:
     """The patch as a plain graph on conjugate-generator names, for output;
     PatchError when two patch vertices share a name."""
-    names = {cg: name for name, cg in named_vertices(p).items()}
-    return graphs.graph(
-        names.values(),
-        [(names[a], names[b]) for e in p.cg_edges for a, b in [tuple(e)]],
+    named = named_vertices(p)
+    names = {cg: name for name, cg in named.items()}
+    return SimplicialGraph(
+        tuple(sorted(named)),
+        frozenset(frozenset((names[a], names[b])) for a, b in p.cg_edges),
     )
 
 

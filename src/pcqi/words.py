@@ -186,20 +186,30 @@ def supported_in(w: GroupWord, verts) -> bool:
     return support(w) <= frozenset(verts)
 
 
-@lru_cache(maxsize=COSET_CACHE_SIZE)
-def _coset_letters(g, base, letters):
-    """Strip, left to right, each letter of star(base) that commutes with
+def _coset_strip(g, base, letters):
+    """A shortest word of the right coset C(base)·w, w the raw `letters`,
+    unshuffled.
+
+    Strip, left to right, each letter of star(base) that commutes with
     every letter kept before it.  A deletion never makes an earlier letter
     strippable, and the stripped letters shuffle to the front, so one pass
-    leaves the shortest word of the coset."""
-    st = graphs.star(g, base)
+    over the reduced word leaves a shortest word of the coset."""
+    stars = g.stars
+    st = stars[base]
     out, kept = [], set()
     for gen, sign in _reduce(g, letters):
-        if gen in st and kept <= graphs.star(g, gen):
+        if gen in st and kept <= stars[gen]:
             continue
         out.append((gen, sign))
         kept.add(gen)
-    return tuple(_lex_least(g, out))
+    return out
+
+
+@lru_cache(maxsize=COSET_CACHE_SIZE)
+def _coset_letters(g, base, letters):
+    """The canonical word of the right coset C(base)·w: the strip,
+    shuffled to normal form."""
+    return tuple(_lex_least(g, _coset_strip(g, base, letters)))
 
 
 def coset_canonical(v: str, w: GroupWord) -> GroupWord:

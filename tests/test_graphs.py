@@ -48,6 +48,23 @@ def test_star_link_degree(c5):
         graphs.link(c5, "nope")
 
 
+def test_star_map_is_frozen_and_outside_equality(rng, c5, petersen):
+    for g in (c5, petersen, graphs.graph(["a"]), random_graph(9, 0.4, rng)):
+        for v in g.vertices:
+            st = graphs.star(g, v)
+            assert type(st) is frozenset and st == graphs.link(g, v) | {v}
+            assert st is g.stars[v]
+        with pytest.raises(graphs.GraphError):
+            graphs.star(g, "nope")
+    stars = c5.stars
+    with pytest.raises(TypeError):
+        stars["v1"] = frozenset()
+    with pytest.raises(AttributeError):
+        stars["v1"].add("v3")
+    assert c5 == cycle(5) and hash(c5) == hash(cycle(5))
+    assert hash(c5) == hash((c5.vertices, c5.edges))
+
+
 def test_components_diameter_girth(c5, petersen):
     assert graphs.is_connected(c5)
     assert graphs.diameter(c5) == 2
@@ -68,6 +85,33 @@ def test_girth_matches_reference(rng, c5, petersen):
         for p in patches.doubling_family(g, depth):
             plain = patches.to_simplicial(p)
             assert graphs.girth(plain) == girth_reference(plain)
+
+
+def heawood():
+    h = [f"h{k:02}" for k in range(14)]
+    return graphs.graph(h, [(h[k], h[(k + 1) % 14]) for k in range(14)]
+                        + [(h[k], h[(k + 5) % 14]) for k in range(0, 14, 2)])
+
+
+def test_girth_explicit_cases(petersen):
+    """Cases for each branch of the level search: odd and even girth, a
+    shortest cycle missing the first vertex (the first root), a cycle beside
+    a forest, and no cycle at all."""
+    # v0 lies on a 6-cycle only; the triangle v3 v6 v7 avoids it.
+    c6 = [f"v{k}" for k in range(6)]
+    avoids_first = graphs.graph(
+        c6 + ["v6", "v7"], list(zip(c6, c6[1:] + c6[:1]))
+        + [("v3", "v6"), ("v6", "v7"), ("v7", "v3")])
+    forest_and_cycle = graphs.graph(
+        list("abcdefg") + ["z1", "z2", "z3", "z4", "z5"],
+        [("a", "b"), ("b", "c"), ("b", "d"), ("e", "f")]
+        + [(f"z{k}", f"z{k % 5 + 1}") for k in range(1, 6)])
+    cases = [(avoids_first, 3), (cycle(4), 4), (cycle(6), 6), (heawood(), 6),
+             (cycle(5), 5), (petersen, 5), (forest_and_cycle, 5),
+             (graphs.graph([]), None), (graphs.graph(["a"]), None)]
+    for g, expected in cases:
+        assert girth_reference(g) == expected
+        assert graphs.girth(g) == expected, g
 
 
 def test_diameter_matches_reference(rng):

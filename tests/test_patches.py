@@ -8,7 +8,8 @@ from pcqi.patches import ConjugateGenerator
 from pcqi.words import GroupWord
 
 from conftest import clique, cycle, path, random_graph
-from oracles import equal_oracle, patch_edges_reference, reduced_class
+from oracles import (commute_cg_reference, equal_oracle, patch_edges_reference,
+                     reduced_class)
 
 
 P3 = path(3)
@@ -177,6 +178,40 @@ def test_defining_graph_settles_same_and_nonadjacent_bases(rng):
     assert same > 100 and nonadjacent > 100
 
 
+def _random_letters(rng, g, max_len):
+    return tuple((rng.choice(g.vertices), rng.choice((1, -1)))
+                 for _ in range(rng.randrange(max_len + 1)))
+
+
+def test_half_length_commute_test_matches_reference(rng):
+    """The coset-strip test against the full-length commutator support,
+    on pairs with adjacent distinct bases.  A real doubling batch has few
+    commuting pairs, so over a third here are forced to commute: u^h and
+    w^h for an edge uw, whose canonical conjugators still differ."""
+    total = forced = commuting = 0
+    while total < 20000:
+        g = random_graph(rng.randrange(2, 7), rng.random(), rng)
+        edges = sorted(tuple(sorted(e)) for e in g.edges)
+        if not edges:
+            continue
+        for _ in range(40):
+            u, w = rng.choice(edges)[::rng.choice((1, -1))]
+            x = _random_letters(rng, g, 4)
+            is_forced = rng.random() < 0.4
+            y = x if is_forced else _random_letters(rng, g, 4)
+            a = patches.conjugate_generator(g, u, GroupWord(g, x))
+            b = patches.conjugate_generator(g, w, GroupWord(g, y))
+            expected = commute_cg_reference(g, a, b)
+            assert patches.commute_cg(g, a, b) == expected, (g, a, b)
+            assert patches.commute_cg(g, b, a) == expected, (g, a, b)
+            assert expected or not is_forced
+            total += 1
+            forced += is_forced
+            commuting += expected
+    assert forced >= 0.3 * total
+    assert forced < commuting < total
+
+
 def test_cross_edge_kept_when_the_copy_meets_only_the_star():
     """P4 = z-p-a-b: the patch {z, a, b^(z^-1)} doubled at z meets its copy
     only in the star of z, yet gains the cross edge a-b."""
@@ -230,6 +265,23 @@ def test_has_vertex_matches_vertex_tuple(c5):
     others = [ConjugateGenerator("v3", (("v2", 1),)), ConjugateGenerator("v9", ())]
     for cg in list(p.cg_vertices) + others:
         assert p.has_vertex(cg) == (cg in p.cg_vertices)
+
+
+def test_conjugate_generator_hash_and_name_are_values(c5):
+    """The hash and the name are computed once per instance, and neither is
+    part of equality or ordering: separately built equal generators hash and
+    name alike, whichever was named first."""
+    a = ConjugateGenerator("v3", (("v1", 1), ("v4", -1)))
+    assert a.name() == "v3^v1 v4^-1"
+    b = cg(c5, "v3", "v1 v4^-1")
+    assert a == b and not a < b and not b < a
+    assert hash(a) == hash(b) == hash(("v3", (("v1", 1), ("v4", -1))))
+    assert b.name() == a.name()
+    assert ConjugateGenerator("v3", ()).name() == "v3"
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
+    with pytest.raises(AttributeError):
+        a.base = "v4"
+    assert not hasattr(a, "__dict__")
 
 
 def _name_clash_patch():
