@@ -41,9 +41,13 @@ def test_commute_cg_matches_direct_commutator(rng, c5):
             assert patches.commute_cg(g, a, b) == direct
 
 
+def _random_letters(rng, g, max_len):
+    return tuple((rng.choice(g.vertices), rng.choice((1, -1)))
+                 for _ in range(rng.randrange(max_len + 1)))
+
+
 def _random_cg(rng, g, max_len):
-    letters = tuple((rng.choice(g.vertices), rng.choice((1, -1)))
-                    for _ in range(rng.randrange(max_len + 1)))
+    letters = _random_letters(rng, g, max_len)
     return patches.conjugate_generator(g, rng.choice(g.vertices),
                                        GroupWord(g, letters))
 
@@ -178,16 +182,12 @@ def test_defining_graph_settles_same_and_nonadjacent_bases(rng):
     assert same > 100 and nonadjacent > 100
 
 
-def _random_letters(rng, g, max_len):
-    return tuple((rng.choice(g.vertices), rng.choice((1, -1)))
-                 for _ in range(rng.randrange(max_len + 1)))
-
-
 def test_half_length_commute_test_matches_reference(rng):
-    """The coset-strip test against the full-length commutator support,
-    on pairs with adjacent distinct bases.  A real doubling batch has few
-    commuting pairs, so over a third here are forced to commute: u^h and
-    w^h for an edge uw, whose canonical conjugators still differ."""
+    """The coset-strip test against the full-length support test of the
+    reference, on pairs with adjacent distinct bases.  A real doubling
+    batch has few commuting pairs, so over a third here are forced to
+    commute: u^h and w^h for an edge uw, whose canonical conjugators still
+    differ."""
     total = forced = commuting = 0
     while total < 20000:
         g = random_graph(rng.randrange(2, 7), rng.random(), rng)
