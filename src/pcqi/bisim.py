@@ -87,12 +87,10 @@ def _stable_partition(cg: ColoredGraph):
     colors = cg.colors
     block = {v: colors[v] for v in cg.graph.vertices}
     while True:
-        sig = {v: (block[v], frozenset(block[u] for u in adj[v]))
+        ids = {}    # signature -> class id, numbered in first-seen vertex order
+        new = {v: ids.setdefault((block[v], frozenset(block[u] for u in adj[v])), len(ids))
                for v in cg.graph.vertices}
-        names = {s: i for i, s in enumerate(sorted(set(sig.values()),
-                                                   key=repr))}
-        new = {v: names[sig[v]] for v in cg.graph.vertices}
-        if len(set(new.values())) == len(set(block.values())):
+        if len(ids) == len(set(block.values())):
             return new
         block = new
 

@@ -22,7 +22,6 @@ searches many codomains without building a graph for each.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -131,37 +130,32 @@ def induced_subgraph(g, verts) -> SimplicialGraph:
 
 
 def connected_components(g):
-    adj = adjacency(g)
     seen, comps = set(), []
     for v in g.vertices:
-        if v in seen:
-            continue
-        comp, queue = {v}, deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if v not in seen:
+            comp = frozenset(_bfs_dist(g.adjacency, v))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
 def is_connected(g):
-    return g.n > 0 and len(connected_components(g)) == 1
+    return g.n > 0 and len(_bfs_dist(g.adjacency, g.vertices[0])) == g.n
 
 
-def _bfs_dist(g, source):
-    adj = adjacency(g)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+def _bfs_dist(adj, source):
+    """The distance from `source` of each vertex it reaches, by breadth-first
+    search in `adj`, a map of each vertex to its neighbours."""
+    dist, level, d = {source: 0}, [source], 0
+    while level:
+        d += 1
+        nxt = []
+        for u in level:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        level = nxt
     return dist
 
 
@@ -175,34 +169,29 @@ def diameter(g):
     if g.n == 0 or not is_connected(g):
         return None
     if len(g.edges) == g.n - 1:
-        far = _bfs_dist(g, g.vertices[0])
-        return max(_bfs_dist(g, max(far, key=far.get)).values())
+        far = _bfs_dist(g.adjacency, g.vertices[0])
+        return max(_bfs_dist(g.adjacency, max(far, key=far.get)).values())
     best = 0
     for v in g.vertices:
-        best = max(best, max(_bfs_dist(g, v).values()))
+        best = max(best, max(_bfs_dist(g.adjacency, v).values()))
     return best
 
 
 def girth(g):
     """Length of a shortest cycle, or None for forests.
 
-    A breadth-first search from each root in turn, level by level on
-    neighbour bit masks built from `g.edges`.  With the vertices at
-    distance d from the root as level d, an edge inside level d closes a
-    cycle of length at most 2d + 1, and a vertex of level d + 1 with two
-    neighbours in level d one of length at most 2d + 2; a root on a
-    shortest cycle finds it so, at the first level where it can.  A root's
-    search stops at its first such level, or once 2d + 1 reaches the best
-    cycle already found.  Each root is deleted after its search: a shortest
-    cycle is found from its first vertex, while all its vertices are left.
-    No cycle is longer than n, so n + 1 stands for "none found".
+    A breadth-first search from each root in turn, level by level on the
+    neighbour bit masks of `_masks`.  With the vertices at distance d from
+    the root as level d, an edge inside level d closes a cycle of length at
+    most 2d + 1, and a vertex of level d + 1 with two neighbours in level d
+    one of length at most 2d + 2; a root on a shortest cycle finds it so,
+    at the first level where it can.  A root's search stops at its first
+    such level, or once 2d + 1 reaches the best cycle already found.  Each
+    root is deleted after its search: a shortest cycle is found from its
+    first vertex, while all its vertices are left.  No cycle is longer than
+    n, so n + 1 stands for "none found".
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [0] * len(index)
-    for a, b in g.edges:
-        a, b = index[a], index[b]
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
+    nbrs = _masks(g.vertices, g.edges)
     n = len(nbrs)
     best = n + 1
     for root in range(n):
@@ -402,12 +391,17 @@ def _domain_plan(dom, conditions=()):
     return _DomainPlan(order, [len(adj[v]) for v in order], later, cuts)
 
 
-def _masks(g):
-    """Each vertex's neighbours as a bit mask over the vertices of g, in
-    vertex order: the codomain form `_embedding_search` reads."""
-    bit = {v: 1 << k for k, v in enumerate(g.vertices)}
-    adj = adjacency(g)
-    return [sum(bit[w] for w in adj[v]) for v in g.vertices]
+def _masks(vertices, edges):
+    """The neighbours of each of `vertices` under `edges`, vertex pairs, as
+    bit masks over `vertices` in the order given: the codomain form that
+    `_embedding_search` reads and the graph form that `girth` searches."""
+    index = {v: k for k, v in enumerate(vertices)}
+    nbrs = [0] * len(index)
+    for a, b in edges:
+        a, b = index[a], index[b]
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return nbrs
 
 
 def _embedding_search(plan, nbrs, limit=None):
@@ -485,7 +479,7 @@ def find_induced_embeddings(dom, cod, limit=None):
     plan = _domain_plan(dom)
     names = cod.vertices
     return [GraphEmbedding(dom, cod, tuple(sorted(zip(plan.order, [names[k] for k in f]))))
-            for f in _embedding_search(plan, _masks(cod), limit)]
+            for f in _embedding_search(plan, _masks(cod.vertices, cod.edges), limit)]
 
 
 def _symmetry_conditions(g, auts):

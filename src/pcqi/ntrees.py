@@ -148,12 +148,11 @@ def vertex_coloring(k: NTreeComplex) -> MappingProxyType:
     while frontier:
         nxt = []
         for s in frontier:
-            for f, fs in faces.items():
-                if f <= s:
-                    for t in fs - done:
-                        fill(t)
-                        done.add(t)
-                        nxt.append(t)
+            for f in _faces(s, k.n):
+                for t in faces.get(f, frozenset()) - done:
+                    fill(t)
+                    done.add(t)
+                    nxt.append(t)
         frontier = nxt
     if done != set(k.simplices):
         raise NTreeError("coloring propagation did not reach every simplex")

@@ -162,26 +162,20 @@ class Patch:
         part of equality or hashing.  The embedding search reads this view,
         so vertices whose names coincide stay distinct."""
         cgs = sorted(self.cg_vertices, key=lambda cg: (cg.name(), cg))
-        index = {cg: k for k, cg in enumerate(cgs)}
-        nbrs = [0] * len(cgs)
-        for e in self.cg_edges:
-            a, b = (index[x] for x in e)
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-        return tuple(cgs), nbrs
+        return tuple(cgs), graphs._masks(cgs, self.cg_edges)
 
 
 def _build(g, cgs, provenance, edges=(), pairs=None):
-    """Patch on `cgs` (first occurrences, in order) whose edges are `edges`
-    plus the commuting ones among `pairs`, by default every vertex pair."""
-    seen = tuple(dict.fromkeys(cgs))
-    if len(seen) > vertex_budget():
-        raise BudgetExceeded(f"patch would have {len(seen)} vertices")
+    """Patch on `cgs`, distinct vertices in order, whose edges are those of
+    the collections in `edges` plus the commuting ones among `pairs`, by
+    default every vertex pair."""
+    cgs = tuple(cgs)
+    if len(cgs) > vertex_budget():
+        raise BudgetExceeded(f"patch would have {len(cgs)} vertices")
     if pairs is None:
-        pairs = itertools.combinations(seen, 2)
-    edges = set(edges)
-    edges.update(frozenset(pair) for pair in pairs if commute_cg(g, *pair))
-    return Patch(g, seen, frozenset(edges), tuple(provenance))
+        pairs = itertools.combinations(cgs, 2)
+    found = (frozenset(pair) for pair in pairs if commute_cg(g, *pair))
+    return Patch(g, cgs, frozenset().union(*edges, found), tuple(provenance))
 
 
 def base_patch(g: SimplicialGraph) -> Patch:
@@ -227,11 +221,11 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     pairs = [(x, y) for x in outside for base in graphs.link(g, x.base)
              for y in new_by_base.get(base, ())]
     # An edge inside the fixed star is its own image, already in the parent.
-    carried = {frozenset(image[x] for x in e) for e in p.cg_edges if not e <= fixed}
+    carried = (frozenset(image[x] for x in e) for e in p.cg_edges if not e <= fixed)
     return _build(
         g, p.cg_vertices + tuple(new),
         p.provenance + (("double", center, exponent),),
-        edges=p.cg_edges | carried, pairs=pairs,
+        edges=(p.cg_edges, carried), pairs=pairs,
     )
 
 

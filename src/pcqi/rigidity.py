@@ -41,25 +41,17 @@ def spanning_trees(g: SimplicialGraph):
 
 
 def _tree_path(tree_edges, u, v):
+    """The path from u to v in the tree: each step goes to the one neighbour
+    one step closer to v."""
     adj = {}
-    for e in tree_edges:
-        a, b = tuple(e)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        if x == v:
-            break
-        for y in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [v]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    for a, b in tree_edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    dist = graphs._bfs_dist(adj, v)
+    path = [u]
+    while path[-1] != v:
+        path.append(min(adj[path[-1]], key=dist.__getitem__))
+    return path
 
 
 def fundamental_cycle(tree_edges, edge):

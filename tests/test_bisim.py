@@ -88,6 +88,12 @@ def test_minimal_quotient_fixtures():
     assert bisim.colored_isomorphic(qq, q) is not None
 
 
+def test_stable_partition_numbers_classes_in_vertex_order():
+    for cg in (PFP, PFPFP, SINGLE):
+        ids = [bisim._stable_partition(cg)[v] for v in cg.graph.vertices]
+        assert list(dict.fromkeys(ids)) == list(range(len(set(ids))))
+
+
 def test_minimal_quotient_rejects_monochrome_edges():
     mono = CG("ab", [("a", "b")], {"a": "c1", "b": "c1"})
     with pytest.raises(bisim.BisimError):

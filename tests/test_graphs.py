@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,37 @@ def test_components_diameter_girth(c5, petersen):
     assert len(graphs.connected_components(two)) == 2
     assert graphs.diameter(two) is None
     assert graphs.girth(path(5)) is None
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(map(tuple, g.edges))
+    return h
+
+
+def test_bfs_predicates_match_networkx(rng):
+    """Components, connectivity, diameter and girth agree with networkx."""
+    for g in predicate_inputs(rng):
+        h = to_networkx(g)
+        comps = graphs.connected_components(g)
+        assert len(set(comps)) == len(comps)
+        assert set(comps) == {frozenset(c) for c in nx.connected_components(h)}
+        connected = g.n > 0 and nx.is_connected(h)
+        assert graphs.is_connected(g) == connected
+        assert graphs.diameter(g) == (nx.diameter(h) if connected else None)
+        girth = nx.girth(h)
+        assert graphs.girth(g) == (None if girth == math.inf else girth)
+
+
+def test_masks_follow_the_given_vertex_order(rng, petersen):
+    # path(4) is a-b-c-d; in the order c, a, d, b the bits are 1, 2, 4, 8
+    assert graphs._masks(["c", "a", "d", "b"], path(4).edges) == [12, 8, 1, 3]
+    order = list(petersen.vertices)
+    rng.shuffle(order)
+    masks = graphs._masks(order, petersen.edges)
+    assert all(bool(masks[i] >> j & 1) == petersen.has_edge(a, b)
+               for i, a in enumerate(order) for j, b in enumerate(order))
 
 
 def test_girth_matches_reference(rng, c5, petersen):
@@ -243,7 +276,8 @@ def test_symmetry_broken_search_finds_one_copy_per_image_set(rng, petersen):
         auts = graphs.automorphisms(dom)
         conditions = graphs._symmetry_conditions(dom, auts)
         plan = graphs._domain_plan(dom, conditions)
-        order, copies = plan.order, graphs._embedding_search(plan, graphs._masks(cod))
+        order, copies = plan.order, graphs._embedding_search(
+            plan, graphs._masks(cod.vertices, cod.edges))
         want = find_induced_embeddings_reference(dom, cod)
         sets = [frozenset(cod.vertices[k] for k in copy) for copy in copies]
         assert len(set(sets)) == len(sets)

@@ -114,16 +114,21 @@ def test_equal_complex_gets_equal_results(rng):
                 assert fn(again) is want, fn.__name__
 
 
-def test_vertex_coloring():
+def test_vertex_coloring(rng):
     col = ntrees.vertex_coloring(PATH4)
     assert [col[v] for v in "abcd"] == [1, 2, 1, 2]
     col2 = ntrees.vertex_coloring(TWO_TRIANGLES)
     assert col2["d"] == col2["a"]                 # both apexes off the spine
     assert {col2["a"], col2["b"], col2["c"]} == {1, 2, 3}
-    for k in (PATH5, STAR3, TWO_TRIANGLES):
+    # Every simplex gets every color and the seed is colored in vertex
+    # order: together these pin the coloring.
+    generated = [k for n in (1, 2, 3) for k in generate_ntrees(n, 10, rng, 30)]
+    for k in [PATH5, STAR3, TWO_TRIANGLES] + generated:
         col = ntrees.vertex_coloring(k)
         for s in k.simplices:
             assert sorted(col[v] for v in s) == list(range(1, k.n + 2))
+        seed = min(k.simplices, key=lambda s: tuple(sorted(s)))
+        assert [col[v] for v in sorted(seed)] == list(range(1, k.n + 2))
     with pytest.raises(ntrees.NTreeError):
         ntrees.vertex_coloring(K(1, "ab", "bc", "ca"))
 

@@ -329,7 +329,7 @@ def test_search_view_matches_to_simplicial(c5, petersen, path4):
         cgs, nbrs = p.search_view
         s = patches.to_simplicial(p)
         assert tuple(cg.name() for cg in cgs) == s.vertices
-        assert nbrs == graphs._masks(s)
+        assert nbrs == graphs._masks(s.vertices, s.edges)
         assert p.search_view is p.search_view
 
 

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from pcqi import embeddings, graphs, patches, rigidity, words
@@ -8,7 +9,7 @@ from pcqi.patches import conjugate_generator
 from pcqi.words import GroupWord
 
 import oracles
-from conftest import cycle, path, star
+from conftest import cycle, path, random_graph, star
 from oracles import (decompose_oracle, rigidity_experiment_reference,
                      spanning_trees_oracle)
 
@@ -27,6 +28,23 @@ def test_fundamental_cycle(c5):
     (extra,) = marked.excluded
     cyc = rigidity.fundamental_cycle(t, extra)
     assert cyc == c5.edges
+
+
+def test_fundamental_cycle_matches_networkx(rng, c5, petersen):
+    """Each edge outside a spanning tree closes the tree's path between its
+    ends, which networkx finds as the shortest path in the tree."""
+    connected = [g for g in (random_graph(rng.randrange(3, 8), rng.random(), rng)
+                             for _ in range(40))
+                 if graphs.is_connected(g) and len(g.edges) <= 12]
+    assert len(connected) >= 5
+    for g in [c5, petersen] + connected:
+        for t in rigidity.spanning_trees(g):
+            tree = nx.Graph(map(tuple, t))
+            for e in g.edges - t:
+                u, v = sorted(e)
+                p = nx.shortest_path(tree, u, v)
+                assert rigidity.fundamental_cycle(t, e) == frozenset(
+                    map(frozenset, zip(p, p[1:]))) | {e}
 
 
 def test_minimal_marked_cycles_c5(c5):
