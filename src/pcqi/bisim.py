@@ -6,6 +6,10 @@ an edge at that vertex.  Two colored graphs are bisimilar when they admit
 weak coverings onto a common quotient; for finite graphs this is decided
 by comparing minimal quotients, computed by coarsest stable partition
 refinement.
+
+`minimal_quotient` is cached on the colored graph's value in a small
+bounded cache, so a gph that several decisions share is refined once; its
+vertex map is read-only.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import graphs
@@ -22,6 +26,11 @@ from .graphs import SimplicialGraph
 
 class BisimError(ValueError):
     pass
+
+
+# One n-tree pipeline step decides bisimilarity of the gphs of a complex,
+# its double and a partner complex; a few steps' worth of quotients is held.
+QUOTIENT_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -98,16 +107,22 @@ def _stable_partition(cg: ColoredGraph):
 def joined_name(members, sep) -> str:
     """The sorted `members` joined by `sep`, with `\\` and `sep` inside a
     member escaped by a backslash, so that distinct sets never share a
-    name."""
+    name.  When the plain join holds no backslash and one `sep` per gap,
+    no member needs escaping, and the plain join is that name."""
+    names = sorted(members)
+    joined = sep.join(names)
+    if "\\" not in joined and joined.count(sep) == len(names) - 1:
+        return joined
     return sep.join(v.replace("\\", "\\\\").replace(sep, "\\" + sep)
-                    for v in sorted(members))
+                    for v in names)
 
 
 def _quotient(cg: ColoredGraph, classes):
     """((quotient, vertex -> quotient-vertex map), None) for a partition of
     cg's vertices into `classes`, or (None, reason) when the quotient map
     is not a weak covering.  Quotient vertices are named by their class
-    contents joined by `|`, and take their members' color."""
+    contents joined by `|`, and take their members' color; the map is
+    read-only."""
     name = {}
     for cls in classes:
         name.update(dict.fromkeys(cls, joined_name(cls, "|")))
@@ -117,11 +132,13 @@ def _quotient(cg: ColoredGraph, classes):
     quotient = colored_graph(graphs.graph(qmap.values(), qedges),
                              {qmap[v]: c for v, c in cg.colors.items()})
     ok, why = check_weak_covering(qmap, cg, quotient)
-    return ((quotient, qmap), None) if ok else (None, why)
+    return ((quotient, MappingProxyType(qmap)), None) if ok else (None, why)
 
 
+@lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def minimal_quotient(cg: ColoredGraph):
-    """(quotient ColoredGraph, vertex -> quotient-vertex map).
+    """(quotient ColoredGraph, read-only vertex -> quotient-vertex map),
+    cached on the value of `cg`.
 
     Quotient vertices are named by the sorted class contents, so equal
     inputs give identical quotients.  Requires a properly colored input:

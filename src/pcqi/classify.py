@@ -9,12 +9,17 @@ rule; anything else is Unknown, never guessed.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bisim, embeddings, graphs, ntrees
 from .graphs import SimplicialGraph
+
+
+# One n-tree pipeline step classifies the skeletons of a complex, its double
+# and a partner complex; a few steps' worth of complexes is held.
+COMPLEX_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,10 @@ def maximal_cliques(g: SimplicialGraph):
     return out
 
 
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def ntree_complex_of(g: SimplicialGraph):
-    """The validated n-tree whose 1-skeleton is g, or None."""
+    """The validated n-tree whose 1-skeleton is g, or None; cached on the
+    value of g."""
     if g.n < 2 or not graphs.is_connected(g):
         return None
     cliques = maximal_cliques(g)

@@ -18,6 +18,9 @@ from .patches import ConjugateGenerator, Patch
 
 MAX_PATCHES_PER_LEVEL = 300
 LEVEL_CACHE_SIZE = 64
+# A certificate is verified where it is built and again by its consumer;
+# the cache only needs to bridge that gap.
+CERTIFICATE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -40,24 +43,39 @@ class EmbeddingCertificate:
         return dict(self.mapping)
 
 
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def verify_certificate(cert: EmbeddingCertificate) -> bool:
     """Re-derive everything from the word algebra: the images must be
-    canonical, pairwise distinct, and commute exactly along domain edges."""
+    canonical, pairwise distinct, and commute exactly along domain edges.
+    Cached on the whole certificate's value.
+
+    The pairs are walked once.  Distinct images commute only when their
+    bases are adjacent (the defining-graph cases of `patches.commute_cg`),
+    so only those pairs reach the word algebra, ordered by base."""
     m = cert.as_dict()
-    if set(m) != set(cert.domain.vertices):
+    dom, cod = cert.domain, cert.codomain
+    if set(m) != dom.vertex_set:
         return False
     for v, cg in m.items():
-        canon = patches.conjugate_generator(
-            cert.codomain, cg.base, cg.conj_word(cert.codomain))
+        canon = patches.conjugate_generator(cod, cg.base, cg.conj_word(cod))
         if canon != cg:
             return False
     cgs = list(m.values())
     if len(set(cgs)) != len(cgs):
         return False
-    for u, v in ((a, b) for i, a in enumerate(cert.domain.vertices)
-                 for b in cert.domain.vertices[i + 1:]):
-        if patches.commute_cg(cert.codomain, m[u], m[v]) != cert.domain.has_edge(u, v):
-            return False
+    commute = patches._commute_cg
+    vs = dom.vertices
+    for i, u in enumerate(vs):
+        a, nbrs = m[u], dom.adjacency[u]
+        link = cod.adjacency[a.base]
+        for v in vs[i + 1:]:
+            b = m[v]
+            if b.base not in link:
+                edge = False
+            else:
+                edge = commute(cod, a, b) if a.base < b.base else commute(cod, b, a)
+            if edge != (v in nbrs):
+                return False
     return True
 
 

@@ -269,7 +269,9 @@ def classify_shape(g) -> ShapeVerdict:
 
 
 def is_tree(g):
-    return is_connected(g) and len(g.edges) == g.n - 1
+    """Connected with one edge fewer than vertices; the edge count is
+    tested first, so most non-trees need no search."""
+    return len(g.edges) == g.n - 1 and is_connected(g)
 
 
 def universal_vertices(g):

@@ -345,6 +345,28 @@ def commute_cg_reference(g, a, b):
     return words.reduced_support(g, shifted) <= graphs.star(g, a.base)
 
 
+def verify_certificate_reference(cert):
+    """`embeddings.verify_certificate` before its one-pass pair loop, kept
+    verbatim and uncached: every pair of domain vertices goes through
+    `patches.commute_cg`."""
+    m = cert.as_dict()
+    if set(m) != set(cert.domain.vertices):
+        return False
+    for v, cg in m.items():
+        canon = patches.conjugate_generator(
+            cert.codomain, cg.base, cg.conj_word(cert.codomain))
+        if canon != cg:
+            return False
+    cgs = list(m.values())
+    if len(set(cgs)) != len(cgs):
+        return False
+    for u, v in ((a, b) for i, a in enumerate(cert.domain.vertices)
+                 for b in cert.domain.vertices[i + 1:]):
+        if patches.commute_cg(cert.codomain, m[u], m[v]) != cert.domain.has_edge(u, v):
+            return False
+    return True
+
+
 def patch_edges_reference(p):
     """A patch's edges rebuilt pair by pair with `commute_cg_reference`."""
     return frozenset(
@@ -438,6 +460,13 @@ def generate_ntrees(n, max_simplices, rng, count):
 
 # ---------------------------------------------------------------------------
 # bisimilarity: exhaustive common-quotient search, self-contained
+
+def joined_name_reference(members, sep):
+    """`bisim.joined_name` before its plain-join fast path, kept verbatim:
+    every member is escaped."""
+    return sep.join(v.replace("\\", "\\\\").replace(sep, "\\" + sep)
+                    for v in sorted(members))
+
 
 def _partitions(items):
     if not items:

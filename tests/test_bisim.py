@@ -7,7 +7,8 @@ from pcqi import bisim, graphs, ntrees
 
 from conftest import random_graph
 from oracles import (_quotients_oracle, bisimilar_oracle, bisimilar_reference,
-                     bisimilar_up_to_pcolor_permutation_reference, generate_ntrees)
+                     bisimilar_up_to_pcolor_permutation_reference, generate_ntrees,
+                     joined_name_reference)
 from test_acceptance import random_tree
 
 
@@ -202,6 +203,32 @@ def test_quotient_names_escape_separator(x, z, joined):
     assert ok and witness["quotient"] == q
     mono = g("a", "b", "b")
     assert len(bisim.all_quotients(mono)) == len(_quotients_oracle(mono))
+
+
+def test_joined_name_matches_reference(rng):
+    """The plain-join fast path gives the escaped name on every set, among
+    them sets whose members hold `,`, `|` or `\\`, and the empty set."""
+    fixed = [set(), {""}, {"", "a"}, {"a,b"}, {"a", "b"}, {"a|b", "c"},
+             {"a\\", "b"}, {"\\,", ","}, {"|", "||"}, {"a,", ",b"}]
+    drawn = [{"".join(rng.choice("ab,|\\") for _ in range(rng.randrange(4)))
+              for _ in range(rng.randrange(5))} for _ in range(2000)]
+    for members in fixed + drawn:
+        for sep in (",", "|"):
+            assert bisim.joined_name(members, sep) == joined_name_reference(members, sep), (
+                members, sep)
+
+
+def test_minimal_quotient_is_cached_and_read_only():
+    """An equal colored graph built separately gets the cached result, and
+    its vertex map cannot be changed through it."""
+    q, qmap = bisim.minimal_quotient(PFPFP)
+    again = CG(list(PFPFP.graph.vertices), [tuple(e) for e in PFPFP.graph.edges],
+               dict(PFPFP.color_items))
+    assert again == PFPFP and again is not PFPFP
+    assert bisim.minimal_quotient(again)[1] is qmap
+    with pytest.raises(TypeError):
+        qmap["x1"] = qmap["x3"]
+    assert qmap["x1"] == qmap["x5"] != qmap["x3"]
 
 
 def test_pcolor_permutation():

@@ -1,11 +1,12 @@
 import pytest
 
-from pcqi import embeddings, graphs, patches, words
+from pcqi import embeddings, graphs, ntrees, patches, words
 from pcqi.embeddings import EmbeddingCertificate, SearchBudget
 from pcqi.patches import ConjugateGenerator
 
 from conftest import all_trees, clique, cycle, edgeless, path, random_graph, star
-from oracles import patch_certificates_reference
+from oracles import (generate_ntrees, patch_certificates_reference,
+                     verify_certificate_reference)
 from test_patches import _name_clash_patch, _view_patches
 
 
@@ -67,6 +68,84 @@ def test_verify_rejects_tampering(c5):
     m3["v1"] = ConjugateGenerator("v1", (("v2", 1),))  # v2 is in star(v1)
     bad3 = EmbeddingCertificate(c5, c5, tuple(sorted(m3.items())), ())
     assert not embeddings.verify_certificate(bad3)
+
+
+def _found_certificates(rng, c5, wedge, path4):
+    """Criterion 3 (trees into ext(P4)), criterion 5 (the wedge and C5
+    both ways) and criterion 10 (weak covers of doubled random n-trees)."""
+    certs = [embeddings.search_embedding(t, path4, SearchBudget(max_depth=6))
+             for size in range(3, 9) for t in all_trees(size)
+             if graphs.diameter(t) >= 2]
+    certs += [embeddings.search_embedding(a, b, SearchBudget(max_depth=4))
+              for a, b in ((wedge, c5), (c5, wedge))]
+    for n in (1, 2, 3):
+        for k in generate_ntrees(n, 5, rng, 4):
+            d, fold = ntrees.double_ntree(k, rng.choice(sorted(k.vertices)))
+            certs.append(ntrees.weak_cover_to_embedding(
+                d, k, ntrees.induced_gph_map(d, k, fold)))
+    assert len(certs) == 60 and None not in certs
+    return certs
+
+
+def _changed(cert, **images):
+    m = cert.as_dict()
+    m.update(images)
+    return EmbeddingCertificate(cert.domain, cert.codomain,
+                                tuple(sorted(m.items())), cert.provenance)
+
+
+def _tampered(cert):
+    """For each pair u < v of domain vertices: their images swapped, v's
+    image repeated at u, and u sent to another conjugate on v's base; and
+    for each u, a non-canonical conjugator for the same element."""
+    cod, m = cert.codomain, cert.as_dict()
+    out = []
+    for i, u in enumerate(cert.domain.vertices):
+        a = m[u]
+        out.append(_changed(cert, **{u: ConjugateGenerator(a.base, ((a.base, 1),) + a.conj)}))
+        for v in cert.domain.vertices[i + 1:]:
+            b = m[v]
+            out.append(_changed(cert, **{u: b, v: a}))
+            out.append(_changed(cert, **{u: b}))
+            away = [x for x in cod.vertices if x not in graphs.star(cod, b.base)]
+            if away:
+                conj = b.conj_word(cod) * words.word(cod, away[0])
+                out.append(_changed(cert, **{u: patches.conjugate_generator(cod, b.base, conj)}))
+    return out
+
+
+def test_one_pass_verifier_matches_the_all_pairs_reference(rng, c5, wedge, path4):
+    """On found certificates and on tampered copies of them, the one-pass
+    verifier, cached or not, agrees with the all-pairs `commute_cg` loop."""
+    verdicts = set()
+    for cert in _found_certificates(rng, c5, wedge, path4):
+        assert embeddings.verify_certificate(cert)
+        assert verify_certificate_reference(cert)
+        for bad in _tampered(cert):
+            want = verify_certificate_reference(bad)
+            assert embeddings.verify_certificate.__wrapped__(bad) == want, bad
+            assert embeddings.verify_certificate(bad) == want, bad
+            verdicts.add(want)
+        u = cert.domain.vertices[0]
+        unknown = _changed(cert, **{u: ConjugateGenerator("nowhere", ())})
+        with pytest.raises(patches.PatchError):
+            verify_certificate_reference(unknown)
+        with pytest.raises(patches.PatchError):
+            embeddings.verify_certificate(unknown)
+    assert verdicts == {True, False}
+
+
+def test_cached_verdict_does_not_mask_a_tampered_certificate(c5):
+    """A valid certificate held in the cache leaves a tampered one with the
+    same domain, codomain and provenance to be checked, and back."""
+    cert = embeddings.search_embedding(c5, c5, SearchBudget(max_depth=0))
+    swapped = _changed(cert, v1=cert.as_dict()["v2"], v2=cert.as_dict()["v1"])
+    assert embeddings.verify_certificate(cert)
+    hits = embeddings.verify_certificate.cache_info().hits
+    assert embeddings.verify_certificate(cert)
+    assert embeddings.verify_certificate.cache_info().hits == hits + 1
+    assert not embeddings.verify_certificate(swapped)
+    assert embeddings.verify_certificate(cert)
 
 
 def test_hand_built_tree_certificate():

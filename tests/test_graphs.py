@@ -87,7 +87,8 @@ def to_networkx(g):
 
 
 def test_bfs_predicates_match_networkx(rng):
-    """Components, connectivity, diameter and girth agree with networkx."""
+    """Components, connectivity, trees, diameter and girth agree with
+    networkx."""
     for g in predicate_inputs(rng):
         h = to_networkx(g)
         comps = graphs.connected_components(g)
@@ -95,6 +96,7 @@ def test_bfs_predicates_match_networkx(rng):
         assert set(comps) == {frozenset(c) for c in nx.connected_components(h)}
         connected = g.n > 0 and nx.is_connected(h)
         assert graphs.is_connected(g) == connected
+        assert graphs.is_tree(g) == (g.n > 0 and nx.is_tree(h))
         assert graphs.diameter(g) == (nx.diameter(h) if connected else None)
         girth = nx.girth(h)
         assert graphs.girth(g) == (None if girth == math.inf else girth)
