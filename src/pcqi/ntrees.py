@@ -4,11 +4,11 @@ invariant graph, doubling, and the constructive embedding of an n-tree
 into the extension graph of one it weakly covers.
 
 The derivations of a complex (skeleton, shared faces, validity, coloring,
-pieces, invariant graph) are cached on the complex's value in small
-bounded caches, so a complex rebuilt equal elsewhere (as `classify`
-rebuilds one from its skeleton) is derived once.  Cached results are
-read-only: mappings are `MappingProxyType`, face sets `frozenset` and
-piece lists `tuple`.
+pieces, the invariant graph and its vertex ids) are cached on the
+complex's value in small bounded caches, so a complex rebuilt equal
+elsewhere (as `classify` rebuilds one from its skeleton) is derived once.
+Cached results are read-only: mappings are `MappingProxyType`, face sets
+`frozenset` and piece lists `tuple`.
 """
 
 from __future__ import annotations
@@ -178,12 +178,14 @@ def pieces(k: NTreeComplex) -> tuple:
     ))
 
 
-def _pid(piece):
-    return "p:" + bisim.joined_name(piece.spine, ",")
-
-
-def _fid(simplex):
-    return "f:" + bisim.joined_name(simplex, ",")
+@lru_cache(maxsize=NTREE_CACHE_SIZE)
+def _gph_ids(k: NTreeComplex) -> tuple:
+    """(piece -> p-vertex id, n-simplex -> f-vertex id): the names of the
+    invariant graph's vertices, each computed once per complex."""
+    return (MappingProxyType({p: "p:" + bisim.joined_name(p.spine, ",")
+                              for p in pieces(k)}),
+            MappingProxyType({s: "f:" + bisim.joined_name(s, ",")
+                              for s in k.simplices}))
 
 
 @lru_cache(maxsize=NTREE_CACHE_SIZE)
@@ -193,6 +195,7 @@ def build_gph(k: NTreeComplex) -> bisim.ColoredGraph:
     in more than one piece."""
     colors = vertex_coloring(k)
     ps = pieces(k)
+    pid, fid = _gph_ids(k)
     membership = {}     # simplex -> pieces containing it
     for p in ps:
         for s in p.simplices():
@@ -202,13 +205,13 @@ def build_gph(k: NTreeComplex) -> bisim.ColoredGraph:
     for p in ps:
         spine_colors = {colors[v] for v in p.spine}
         (plabel,) = set(range(1, k.n + 2)) - spine_colors
-        verts.append(_pid(p))
-        cmap[_pid(p)] = f"p{plabel}"
-    for s in sorted(fs, key=_fid):
-        verts.append(_fid(s))
-        cmap[_fid(s)] = "f"
+        verts.append(pid[p])
+        cmap[pid[p]] = f"p{plabel}"
+    for s in sorted(fs, key=fid.__getitem__):
+        verts.append(fid[s])
+        cmap[fid[s]] = "f"
         for p in membership[s]:
-            edges.append((_fid(s), _pid(p)))
+            edges.append((fid[s], pid[p]))
     return bisim.colored_graph(graphs.graph(verts, edges), cmap)
 
 
@@ -248,18 +251,22 @@ def induced_gph_map(k_big: NTreeComplex, k_small: NTreeComplex, vertex_map: dict
     """Push a simplicial fold (vertex map k_big -> k_small) down to a map
     between the invariant graphs; raises if a piece or shared simplex has
     no counterpart downstairs."""
+    pid_big, fid_big = _gph_ids(k_big)
+    pid_small, fid_small = _gph_ids(k_small)
     down_pieces = {frozenset(p.spine): p for p in pieces(k_small)}
     f = {}
     for p in pieces(k_big):
         spine_img = frozenset(vertex_map[v] for v in p.spine)
         if spine_img not in down_pieces:
             raise NTreeError(f"piece spine {sorted(p.spine)} does not fold to a piece")
-        f[_pid(p)] = _pid(down_pieces[spine_img])
+        f[pid_big[p]] = pid_small[down_pieces[spine_img]]
     up = build_gph(k_big)
     down = build_gph(k_small)
-    for vid, simplex in sorted((_fid(s), s) for s in k_big.simplices):
+    # An image that is no n-simplex of k_small has no id there, and ids are
+    # distinct names of distinct sets, so it is no vertex of `down` either.
+    for vid, simplex in sorted((vid, s) for s, vid in fid_big.items()):
         if vid in up.graph:
-            img = _fid({vertex_map[w] for w in simplex})
+            img = fid_small.get(frozenset(vertex_map[w] for w in simplex))
             if img not in down.graph:
                 raise NTreeError(
                     f"shared simplex {sorted(simplex)} does not fold to one")
@@ -308,9 +315,11 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
         images[v] = new
 
     adj = graphs.adjacency(gph_d.graph)
-    pieces_d = {_pid(p): p for p in pieces(delta)}
-    pieces_g = {_pid(p): p for p in pieces(gamma)}
-    simplices_g = {_fid(s): s for s in gamma.simplices}
+    pid_d, fid_d = _gph_ids(delta)
+    pid_g, fid_g = _gph_ids(gamma)
+    pieces_d = {pid: p for p, pid in pid_d.items()}
+    pieces_g = {pid: p for p, pid in pid_g.items()}
+    simplices_g = {fid: s for s, fid in fid_g.items()}
 
     def handle_piece(pid, entry, entry_conj, done):
         """Map the piece `pid`, entered through the shared simplex `entry`
@@ -325,14 +334,14 @@ def weak_cover_to_embedding(delta: NTreeComplex, gamma: NTreeComplex, f: dict):
 
         used_targets = set()
         if entry is not None:
-            target = next(iter(simplices_g[f[_fid(entry)]] - piece_g.spine))
+            target = next(iter(simplices_g[f[fid_d[entry]]] - piece_g.spine))
             used_targets.add(target)
             assign(next(iter(entry - piece.spine)), target, g_p)
 
         for s in piece.simplices():
             if s == entry:
                 continue
-            fid = _fid(s)
+            fid = fid_d[s]
             tip = next(iter(s - piece.spine))
             if fid in gph_d.graph:
                 target = next(iter(simplices_g[f[fid]] - piece_g.spine))

@@ -4,18 +4,21 @@ A patch vertex is a conjugate generator v^g with g the canonical coset
 representative for the centralizer of v, so two patch vertices are equal
 as group elements exactly when their (base, conjugator) pairs coincide.
 
-Edges are settled from the defining graph where it decides them, derived
-by conjugation otherwise, and audited by `recompute_edges`.  By Fact 1 of
-Kim–Koberda (*Embedability between right-angled Artin groups*, Geom.
-Topol. 2013, §3), v^g -> v is a graph homomorphism from the extension
-graph onto the defining graph: two distinct vertices can be adjacent only
-when their bases are, so `commute_cg` runs the word algebra only on pairs
-with adjacent bases, where it strips one coset of the shorter word y x^-1
-instead of reducing a commutator.  A base or ball patch tests every pair;
-a doubling fixes the closed star of its center, carries the parent's other
-edges over to the conjugated copy (conjugation is an automorphism of the
-extension graph), and tests only the pairs with one end outside the copy,
-the other outside the parent, and adjacent bases.
+A patch carries its edges as one neighbour bit mask per vertex, over the
+vertices in insertion order; `cg_edges`, the search view and the outputs
+are derived from the masks.  Edges are settled from the defining graph
+where it decides them, derived by conjugation otherwise, and audited by
+`recompute_edges`.  By Fact 1 of Kim–Koberda (*Embedability between
+right-angled Artin groups*, Geom. Topol. 2013, §3), v^g -> v is a graph
+homomorphism from the extension graph onto the defining graph: two
+distinct vertices can be adjacent only when their bases are, so
+`commute_cg` runs the word algebra only on pairs with adjacent bases,
+where it strips one coset of the shorter word y x^-1 instead of reducing
+a commutator.  A base or ball patch tests every pair; a doubling fixes the
+closed star of its center, read from the center's mask, extends the
+parent's masks to the conjugated copy (conjugation is an automorphism of
+the extension graph), and tests only the pairs with one end outside the
+copy, the other outside the parent, and adjacent bases.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ class BudgetExceeded(PatchError):
 
 @dataclass(frozen=True, order=True)
 class ConjugateGenerator:
-    # Slots keep an instance small; the hash is computed once and the name
-    # on first use, and neither is part of equality or ordering.
-    __slots__ = ("base", "conj", "_hash", "_name")
+    # Slots keep an instance small; the hash is computed once, the name and
+    # the conjugator's inverse on first use, and none of them is part of
+    # equality or ordering.
+    __slots__ = ("base", "conj", "_hash", "_name", "_inverse")
     base: str
     conj: tuple   # canonical coset-representative letters
 
@@ -72,6 +76,15 @@ class ConjugateGenerator:
             object.__setattr__(self, "_name", name)
             return name
 
+    def conj_inverse(self) -> tuple:
+        """The letters of the conjugator's inverse."""
+        try:
+            return self._inverse
+        except AttributeError:
+            inverse = words.inverse_letters(self.conj)
+            object.__setattr__(self, "_inverse", inverse)
+            return inverse
+
     def conj_word(self, g: SimplicialGraph) -> GroupWord:
         return GroupWord(g, self.conj)
 
@@ -89,15 +102,22 @@ def conjugate_generator(g: SimplicialGraph, base: str, conj: GroupWord) -> Conju
 
 @lru_cache(maxsize=COMMUTE_CACHE_SIZE)
 def _commute_cg(g: SimplicialGraph, a: ConjugateGenerator, b: ConjugateGenerator) -> bool:
-    # Called only on distinct, adjacent bases u = a.base and w = b.base,
-    # with a = u^x and b = w^y.  Conjugating both by x^-1 leaves u and
-    # w^(y x^-1) = q^-1 w q, with q the shortest word of the coset
-    # C(w)·(y x^-1).  That word is reduced because q is shortest, so its
-    # support is supp(q) ∪ {w}, and w is in st(u).  So the pair commutes
-    # iff supp(q) lies in st(u), which generates the centralizer of u.
+    """Called only on distinct, adjacent bases u = a.base and w = b.base,
+    with a = u^x and b = w^y.
+
+    Equal conjugators x = y: u and w commute because they are adjacent,
+    and conjugation by x is an automorphism, so u^x and w^x commute.
+
+    Otherwise conjugating both by x^-1 leaves u and w^(y x^-1) = q^-1 w q,
+    with q the shortest word of the coset C(w)·(y x^-1).  That word is
+    reduced because q is shortest, so its support is supp(q) ∪ {w}, and w
+    is in st(u).  So the pair commutes iff supp(q) lies in st(u), which
+    generates the centralizer of u."""
+    if a.conj == b.conj:
+        return True
     st = g.stars[a.base]
     return all(gen in st for gen, _ in words._coset_strip(
-        g, b.base, b.conj + words.inverse_letters(a.conj)))
+        g, b.base, b.conj + a.conj_inverse()))
 
 
 def commute_cg(g, a, b) -> bool:
@@ -138,12 +158,19 @@ def commute_cg(g, a, b) -> bool:
 class Patch:
     graph: SimplicialGraph
     cg_vertices: tuple          # ConjugateGenerator, in insertion order
-    cg_edges: frozenset         # frozenset pairs of ConjugateGenerator
+    nbrs: tuple                 # each vertex's neighbours as bits over cg_vertices
     provenance: tuple = ()      # ("double", center, exponent) / ("ball", R) steps
 
     @property
     def n(self):
         return len(self.cg_vertices)
+
+    @property
+    def cg_edges(self) -> frozenset:
+        """The edges as frozenset pairs of conjugate generators, derived
+        from `nbrs` on each call."""
+        cgs = self.cg_vertices
+        return frozenset([frozenset((cgs[i], cgs[j])) for i, j in _index_pairs(self.nbrs)])
 
     @cached_property
     def vertex_set(self) -> frozenset:
@@ -151,31 +178,67 @@ class Patch:
         equality or hashing."""
         return frozenset(self.cg_vertices)
 
+    @cached_property
+    def _index(self) -> dict:
+        """Vertex -> its position in `cg_vertices`, built on first use; not
+        part of equality or hashing."""
+        return {cg: i for i, cg in enumerate(self.cg_vertices)}
+
     def has_vertex(self, cg):
-        return cg in self.vertex_set
+        return cg in self._index
 
     @cached_property
     def search_view(self) -> tuple:
         """(cgs, nbrs): the vertices in the order of `to_simplicial`'s
         names, ties broken by (base, conj), and each one's neighbours as a
-        bit mask over that order, built from `cg_edges` on first use; not
-        part of equality or hashing.  The embedding search reads this view,
-        so vertices whose names coincide stay distinct."""
-        cgs = sorted(self.cg_vertices, key=lambda cg: (cg.name(), cg))
-        return tuple(cgs), graphs._masks(cgs, self.cg_edges)
+        bit mask over that order, the carried masks permuted on first use;
+        not part of equality or hashing.  The embedding search reads this
+        view, so vertices whose names coincide stay distinct."""
+        cgs = self.cg_vertices
+        order = sorted(range(len(cgs)), key=lambda i: (cgs[i].name(), cgs[i]))
+        bit = [0] * len(cgs)
+        for k, i in enumerate(order):
+            bit[i] = 1 << k
+        nbrs = []
+        for i in order:
+            m, out = self.nbrs[i], 0
+            while m:
+                low = m & -m
+                m ^= low
+                out |= bit[low.bit_length() - 1]
+            nbrs.append(out)
+        return tuple(cgs[i] for i in order), nbrs
 
 
-def _build(g, cgs, provenance, edges=(), pairs=None):
-    """Patch on `cgs`, distinct vertices in order, whose edges are those of
-    the collections in `edges` plus the commuting ones among `pairs`, by
-    default every vertex pair."""
+def _index_pairs(nbrs):
+    """The edges of the masks `nbrs` as index pairs i < j, in lexicographic
+    order."""
+    pairs = []
+    for i, m in enumerate(nbrs):
+        m &= -1 << (i + 1)
+        while m:
+            low = m & -m
+            m ^= low
+            pairs.append((i, low.bit_length() - 1))
+    return pairs
+
+
+def _check_budget(n):
+    if n > vertex_budget():
+        raise BudgetExceeded(f"patch would have {n} vertices")
+
+
+def _build(g, cgs, provenance):
+    """Patch on `cgs`, distinct vertices in order, with an edge for every
+    commuting pair."""
     cgs = tuple(cgs)
-    if len(cgs) > vertex_budget():
-        raise BudgetExceeded(f"patch would have {len(cgs)} vertices")
-    if pairs is None:
-        pairs = itertools.combinations(cgs, 2)
-    found = (frozenset(pair) for pair in pairs if commute_cg(g, *pair))
-    return Patch(g, cgs, frozenset().union(*edges, found), tuple(provenance))
+    _check_budget(len(cgs))
+    nbrs = [0] * len(cgs)
+    for (i, a), (j, b) in itertools.combinations(enumerate(cgs), 2):
+        if commute_cg(g, a, b):
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+    return Patch(g, cgs, tuple(nbrs), tuple(provenance))
 
 
 def base_patch(g: SimplicialGraph) -> Patch:
@@ -190,43 +253,72 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     """Adjoin the conjugate of the whole patch by `exponent`-th power of the
     center's group element; vertices in the closed star of the center are
     fixed.  The exponent must not have been used at this center before."""
-    if not p.has_vertex(center):
+    index = p._index
+    if center not in index:
         raise PatchError("center not in patch")
     if exponent == 0:
         raise PatchError("exponent must be nonzero")
     for step in p.provenance:
         if step[0] == "double" and step[1] == center and step[2] == exponent:
             raise PatchError(f"stale exponent {exponent} at {center}")
-    g = p.graph
+    g, cgs, nbrs, n = p.graph, p.cg_vertices, p.nbrs, p.n
     # zc = c^-1 z^exponent c, with z the center's base and c its conjugator.
-    zc = (words.inverse_letters(center.conj)
+    zc = (center.conj_inverse()
           + ((center.base, 1 if exponent > 0 else -1),) * abs(exponent)
           + center.conj)
     # The closed star of the center commutes with zc, and vertices are
     # canonical, so it maps to itself without a coset computation.
-    fixed = {x for e in p.cg_edges if center in e for x in e} | {center}
-    image = {cg: cg if cg in fixed
-             else ConjugateGenerator(cg.base, words._coset_letters(g, cg.base, cg.conj + zc))
-             for cg in p.cg_vertices}
+    # Conjugation is injective, so every other vertex maps to a parent
+    # vertex outside the star or to a new vertex of its own.
+    fixed = nbrs[index[center]] | 1 << index[center]
+    image = list(range(n))
+    moved, new = [], []
+    coset = words._coset_letters
+    for i, cg in enumerate(cgs):
+        if not fixed >> i & 1:
+            im = ConjugateGenerator(cg.base, coset(g, cg.base, cg.conj + zc))
+            k = index.get(im)
+            if k is None:
+                k = n + len(new)
+                new.append(im)
+            image[i] = k
+            moved.append(i)
+    _check_budget(n + len(new))
     # Conjugation is an automorphism of the extension graph, so the copy's
-    # edges are the parent's carried over.  Only pairs with one end outside
-    # the copy, the other outside the parent, and adjacent bases are left
-    # to test: other bases never commute (see `commute_cg`).
-    in_copy = set(image.values())
-    outside = [cg for cg in p.cg_vertices if cg not in in_copy]
-    new = [cg for cg in dict.fromkeys(image.values()) if not p.has_vertex(cg)]
+    # edges are the parent's carried over; an edge inside the fixed star is
+    # its own image, already in the parent.
+    bit = [1 << k for k in image]
+    out = list(nbrs) + [0] * len(new)
+    copy = fixed
+    for i in moved:
+        b, m, mapped = bit[i], nbrs[i], 0
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            mapped |= bit[j]
+            if low & fixed:
+                out[j] |= b
+        out[image[i]] |= mapped
+        copy |= b
+    # Only pairs with one end outside the copy, the other outside the
+    # parent, and adjacent bases are left to test: other bases never
+    # commute (see `commute_cg`), and ordering by base orders each pair as
+    # `commute_cg` does.
     new_by_base = {}
-    for cg in new:
-        new_by_base.setdefault(cg.base, []).append(cg)
-    pairs = [(x, y) for x in outside for base in graphs.link(g, x.base)
-             for y in new_by_base.get(base, ())]
-    # An edge inside the fixed star is its own image, already in the parent.
-    carried = (frozenset(image[x] for x in e) for e in p.cg_edges if not e <= fixed)
-    return _build(
-        g, p.cg_vertices + tuple(new),
-        p.provenance + (("double", center, exponent),),
-        edges=(p.cg_edges, carried), pairs=pairs,
-    )
+    for k, y in enumerate(new, n):
+        new_by_base.setdefault(y.base, []).append((k, y))
+    commute, adjacency = _commute_cg, g.adjacency
+    for i, x in enumerate(cgs):
+        if copy >> i & 1:
+            continue
+        for base in adjacency[x.base]:
+            for k, y in new_by_base.get(base, ()):
+                if commute(g, x, y) if x.base < base else commute(g, y, x):
+                    out[i] |= 1 << k
+                    out[k] |= 1 << i
+    return Patch(g, cgs + tuple(new), tuple(out),
+                 p.provenance + (("double", center, exponent),))
 
 
 def doubling_family(g: SimplicialGraph, depth: int) -> list:
@@ -297,10 +389,10 @@ def to_simplicial(p: Patch) -> SimplicialGraph:
     """The patch as a plain graph on conjugate-generator names, for output;
     PatchError when two patch vertices share a name."""
     named = named_vertices(p)
-    names = {cg: name for name, cg in named.items()}
+    names = [cg.name() for cg in p.cg_vertices]
     return SimplicialGraph(
         tuple(sorted(named)),
-        frozenset(frozenset((names[a], names[b])) for a, b in p.cg_edges),
+        frozenset([frozenset((names[i], names[j])) for i, j in _index_pairs(p.nbrs)]),
     )
 
 
@@ -328,13 +420,11 @@ def provenance_to_json(provenance) -> list:
 
 
 def patch_to_json(p: Patch) -> dict:
-    idx = {cg: i for i, cg in enumerate(p.cg_vertices)}
     return {
         "vertices": [
             {"base": cg.base, "conj": words.format_letters(cg.conj)}
             for cg in p.cg_vertices
         ],
-        "edges": sorted(sorted((idx[a], idx[b])) for e in p.cg_edges
-                        for a, b in [tuple(e)]),
+        "edges": [[i, j] for i, j in _index_pairs(p.nbrs)],
         "provenance": provenance_to_json(p.provenance),
     }

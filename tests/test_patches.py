@@ -160,6 +160,73 @@ def test_doubled_edges_match_audit_random(rng):
             assert patches.recompute_edges(p) == p
 
 
+def _check_masks(p):
+    """`nbrs` is symmetric, has no self-bits and no bits past the last
+    vertex, and equals the masks built from `cg_edges`."""
+    for i, m in enumerate(p.nbrs):
+        assert not m >> i & 1 and m >> p.n == 0
+        assert all((p.nbrs[j] >> i & 1) == (m >> j & 1) for j in range(p.n))
+    assert list(p.nbrs) == graphs._masks(p.cg_vertices, p.cg_edges)
+
+
+def test_masks_are_symmetric_and_match_the_edges(c5, petersen):
+    for g, depth in ((c5, 3), (petersen, 2)):
+        for p in patches.doubling_family(g, depth):
+            _check_masks(p)
+
+
+def test_masks_extended_over_random_sequences(rng):
+    """Masks extended from the parent over doublings with exponents in
+    {±1, ±2, 3}, against the masks of the audited edges."""
+    for _ in range(40):
+        g = random_graph(rng.randrange(2, 7), rng.random(), rng)
+        p = patches.base_patch(g)
+        _check_masks(p)
+        for _ in range(rng.randrange(1, 5)):
+            center = rng.choice(p.cg_vertices)
+            exponent = rng.choice((1, -1, 2, -2, 3))
+            if ("double", center, exponent) in p.provenance:
+                continue
+            p = patches.double_along_star(p, center, exponent)
+            _check_masks(p)
+            assert patch_edges_reference(p) == p.cg_edges
+
+
+def test_inverse_doubling_maps_onto_parent_vertices(c5):
+    """Doubling at v1 by +1 and then by -1: the second copy sends v3^v1 and
+    v4^v1 back onto the parent's v3 and v4, and only v3^(v1^-1) and
+    v4^(v1^-1) are new."""
+    v1 = ConjugateGenerator("v1", ())
+    d = patches.double_along_star(patches.base_patch(c5), v1, 1)
+    dd = patches.double_along_star(d, v1, -1)
+    assert dd.cg_vertices[:d.n] == d.cg_vertices
+    assert [cg.name() for cg in dd.cg_vertices[d.n:]] == ["v3^v1^-1", "v4^v1^-1"]
+    _check_masks(dd)
+    assert patch_edges_reference(dd) == dd.cg_edges
+    assert patches.recompute_edges(dd) == dd
+
+
+def test_equal_conjugators_commute_without_the_word_algebra(rng, monkeypatch):
+    """u^x and w^x commute for adjacent u, w: `_commute_cg` answers so
+    before any coset strip, and the reference agrees."""
+    pairs, conjugated = [], 0
+    while len(pairs) < 400:
+        g = random_graph(rng.randrange(3, 8), rng.uniform(0.2, 0.7), rng)
+        edges = sorted(tuple(sorted(e)) for e in g.edges)
+        if not edges:
+            continue
+        u, w = rng.choice(edges)
+        x = words.coset_canonical(u, GroupWord(g, _random_letters(rng, g, 5))).letters
+        if words.coset_canonical(w, GroupWord(g, x)).letters != x:
+            continue        # x must be canonical for both bases
+        pairs.append((g, ConjugateGenerator(u, x), ConjugateGenerator(w, x)))
+        conjugated += bool(x)
+    assert conjugated > 100
+    assert all(commute_cg_reference(g, a, b) for g, a, b in pairs)
+    monkeypatch.setattr(words, "_coset_strip", None)
+    assert all(patches._commute_cg.__wrapped__(g, a, b) for g, a, b in pairs)
+
+
 def test_defining_graph_settles_same_and_nonadjacent_bases(rng):
     """Fact 1 of Kim-Koberda: distinct conjugates of one generator, and
     conjugates of two non-adjacent generators, never commute.  The word
@@ -255,7 +322,7 @@ def test_caches_are_bounded():
                patches._commute_cg, patches._ball_conjugators,
                embeddings._doubling_level, ntrees.skeleton, ntrees.shared_faces,
                ntrees.validate_ntree, ntrees.vertex_coloring, ntrees.pieces,
-               ntrees.build_gph):
+               ntrees._gph_ids, ntrees.build_gph):
         assert fn.cache_parameters()["maxsize"] is not None, fn.__name__
 
 
