@@ -388,10 +388,9 @@ def recompute_edges(p: Patch) -> Patch:
 def to_simplicial(p: Patch) -> SimplicialGraph:
     """The patch as a plain graph on conjugate-generator names, for output;
     PatchError when two patch vertices share a name."""
-    named = named_vertices(p)
-    names = [cg.name() for cg in p.cg_vertices]
+    names = list(named_vertices(p))     # in vertex order
     return SimplicialGraph(
-        tuple(sorted(named)),
+        tuple(sorted(names)),
         frozenset([frozenset((names[i], names[j])) for i, j in _index_pairs(p.nbrs)]),
     )
 
