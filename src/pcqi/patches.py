@@ -18,7 +18,12 @@ a commutator.  A base or ball patch tests every pair; a doubling fixes the
 closed star of its center, read from the center's mask, extends the
 parent's masks to the conjugated copy (conjugation is an automorphism of
 the extension graph), and tests only the pairs with one end outside the
-copy, the other outside the parent, and adjacent bases.
+copy, the other outside the parent, adjacent bases, and one branch at the
+center of the Bass–Serre tree of G = <Γ - z> *_<lk z> <st z>, z the
+center's base after conjugating by its conjugator (Serre, *Trees*, 1980;
+the proof is in `double_along_star`).  Commuting elliptic elements fix a
+common point, so pairs in different branches never commute.  In the
+exponent-1 families of C5 and Petersen no cross pair is left to test.
 """
 
 from __future__ import annotations
@@ -249,10 +254,51 @@ def base_patch(g: SimplicialGraph) -> Patch:
     return _build(g, cgs, ())
 
 
+def _branch(g, center: ConjugateGenerator, cg: ConjugateGenerator) -> int:
+    """The branch k at the center of the Bass–Serre tree that `cg` lies
+    in, for `cg` not commuting with the center (see `double_along_star`):
+    ab_z(s) - ab_z(q), for z = center.base, s = g h^-1 the raw letters of
+    the center's conjugator g and cg's conjugator h, and q the coset strip
+    of C(z)·s.  The base of `cg` does not enter."""
+    z = center.base
+    s = center.conj + words.inverse_letters(cg.conj)
+    q = words._coset_strip(g, z, s)
+    return s.count((z, 1)) - s.count((z, -1)) - q.count((z, 1)) + q.count((z, -1))
+
+
 def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Patch:
     """Adjoin the conjugate of the whole patch by `exponent`-th power of the
     center's group element; vertices in the closed star of the center are
-    fixed.  The exponent must not have been used at this center before."""
+    fixed.  The exponent must not have been used at this center before.
+
+    A cross pair, one end outside the copy and the other outside the
+    parent, is tested only when its bases are adjacent and both ends lie in
+    one branch of a Bass–Serre tree at the center.  Write the center as
+    z^g and a vertex as x = u^h, and conjugate everything by g^-1, so the
+    center becomes z and x becomes s u s^-1 with s = g h^-1.  The group
+    splits as A *_C B with A = <Γ - z>, B = C(z) = <st z> and C = <lk z>
+    (Serre, *Trees*, 1980).  In its tree the stabilizer of the vertex o = B
+    is C(z), and the edges at o are z^k·C, one per k in Z, since
+    B/C = <z>; removing o leaves one branch per k.  Every conjugate of a
+    generator lies in a conjugate of A or of B, so it fixes a nonempty
+    subtree.
+
+    1. Both ends of a cross pair lie outside the closed star of the center
+       in the parent or in the copy, whose edges are exact, so neither
+       commutes with z and neither fixes o.  So each end fixes a subtree
+       that misses o, and that subtree lies in one branch.
+    2. Two commuting elliptic elements fix a common point, so a commuting
+       pair lies in one branch.
+    3. A copy vertex is its preimage conjugated by z^e, e the exponent,
+       which moves branch k to branch k - e.
+    4. Let q be the shortest word of the coset B·s, so s = b q with b in B
+       (`words._coset_strip`).  No letter of st z shuffles to the front of
+       q, so the normal form of q in A *_C B starts in A - C, and the
+       subtree q·Fix(u), which misses o and contains q·A or q·o, lies past
+       the edge C.  So s u s^-1 lies past b·C = z^k·C, where k is the
+       exponent sum ab_z(b) = ab_z(s) - ab_z(q), as every letter of lk z
+       has none.  Free reduction keeps exponent sums, so s is counted
+       unreduced (`_branch`)."""
     index = p._index
     if center not in index:
         raise PatchError("center not in patch")
@@ -272,15 +318,24 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     # vertex outside the star or to a new vertex of its own.
     fixed = nbrs[index[center]] | 1 << index[center]
     image = list(range(n))
-    moved, new = [], []
+    # A moved vertex's branch depends only on its conjugator (see
+    # `_branch`), so each conjugator is stripped once; a new vertex lies in
+    # its preimage's branch less the exponent.
+    branch, branch_of = [0] * n, {}
+    moved, new, new_by_key = [], [], {}
     coset = words._coset_letters
     for i, cg in enumerate(cgs):
         if not fixed >> i & 1:
+            br = branch_of.get(cg.conj)
+            if br is None:
+                br = branch_of[cg.conj] = _branch(g, center, cg)
+            branch[i] = br
             im = ConjugateGenerator(cg.base, coset(g, cg.base, cg.conj + zc))
             k = index.get(im)
             if k is None:
                 k = n + len(new)
                 new.append(im)
+                new_by_key.setdefault((im.base, br - exponent), []).append((k, im))
             image[i] = k
             moved.append(i)
     _check_budget(n + len(new))
@@ -302,18 +357,16 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
         out[image[i]] |= mapped
         copy |= b
     # Only pairs with one end outside the copy, the other outside the
-    # parent, and adjacent bases are left to test: other bases never
-    # commute (see `commute_cg`), and ordering by base orders each pair as
-    # `commute_cg` does.
-    new_by_base = {}
-    for k, y in enumerate(new, n):
-        new_by_base.setdefault(y.base, []).append((k, y))
+    # parent, adjacent bases and one branch are left to test: other bases
+    # never commute (see `commute_cg`), nor do other branches (see above),
+    # and ordering by base orders each pair as `commute_cg` does.
     commute, adjacency = _commute_cg, g.adjacency
     for i, x in enumerate(cgs):
         if copy >> i & 1:
             continue
+        br = branch[i]
         for base in adjacency[x.base]:
-            for k, y in new_by_base.get(base, ()):
+            for k, y in new_by_key.get((base, br), ()):
                 if commute(g, x, y) if x.base < base else commute(g, y, x):
                     out[i] |= 1 << k
                     out[k] |= 1 << i

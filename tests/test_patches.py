@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -315,6 +316,113 @@ def test_cli_sequence_with_a_commuting_cross_pair(tmp_path, capsys):
             p, patches.named_vertices(p)[name], int(exponent))
     assert patches.patch_to_json(p) == data
     assert patch_edges_reference(p) == p.cg_edges
+
+
+def _record_commute_calls(monkeypatch):
+    """Record the pairs that reach `patches._commute_cg`, which
+    `double_along_star` reads from the module on each call."""
+    sent = []
+    inner = patches._commute_cg
+
+    def recorded(g, a, b):
+        sent.append(frozenset((a, b)))
+        return inner(g, a, b)
+    monkeypatch.setattr(patches, "_commute_cg", recorded)
+    return sent
+
+
+def _double_and_check_branches(sent, p, center, exponent):
+    """Double `p` and check the Bass–Serre branch cut against the
+    reference.  The child's edges are exact; every commuting pair off the
+    center's closed star, cross pairs (one end outside the copy, the other
+    outside the parent) among them, lies in one branch; the copy moves each
+    branch k to k - exponent; and the pairs sent to `_commute_cg` are
+    exactly the cross pairs on adjacent bases in one branch.  Returns the
+    child and its number of commuting cross pairs."""
+    g = p.graph
+    sent.clear()
+    child = patches.double_along_star(p, center, exponent)
+    edges = patch_edges_reference(child)
+    assert edges == child.cg_edges
+    branch = {v: patches._branch(g, center, v) for v in child.cg_vertices
+              if not commute_cg_reference(g, v, center)}
+    zc = GroupWord(g, center.conj_inverse()
+                   + ((center.base, 1 if exponent > 0 else -1),) * abs(exponent)
+                   + center.conj)
+    copy = set()
+    for v in p.cg_vertices:
+        image = patches.conjugate_generator(g, v.base, v.conj_word(g) * zc)
+        copy.add(image)
+        if v in branch:
+            assert branch[image] == branch[v] - exponent
+    cross = [frozenset((x, y)) for x in p.cg_vertices if x not in copy
+             for y in child.cg_vertices[p.n:]]
+    assert len(set(sent)) == len(sent) and set(sent) == {
+        e for e in cross
+        if len({v.base for v in e}) == 2 and g.has_edge(*{v.base for v in e})
+        and len({branch[v] for v in e}) == 1}
+    for x, y in edges:
+        if x in branch and y in branch:
+            assert branch[x] == branch[y], (g, p.provenance, x, y)
+    return child, len(edges.intersection(cross))
+
+
+def _p4_case():
+    """P4 = z-p-a-b and the patch {z, a, b^(z^-1)}, with center z."""
+    g = graphs.graph("zpab", [("z", "p"), ("p", "a"), ("a", "b")])
+    z = ConjugateGenerator("z", ())
+    return patches._build(g, [z, ConjugateGenerator("a", ()), cg(g, "b", "z^-1")], ()), z
+
+
+def test_commuting_cross_pairs_lie_in_one_branch(monkeypatch):
+    """The branch cut of `double_along_star` keeps every commuting cross
+    pair: over 2,000 random doublings with exponents in {±1, ±2, 3}, on the
+    P4 case and on the R6 sequence."""
+    sent = _record_commute_calls(monkeypatch)
+    rng = random.Random(19)
+    doublings = 0
+    while doublings < 2000:
+        g = random_graph(rng.randrange(2, 7), rng.random(), rng)
+        p = patches.base_patch(g)
+        for _ in range(rng.randrange(1, 5)):
+            center = rng.choice(p.cg_vertices)
+            exponent = rng.choice((1, -1, 2, -2, 3))
+            if ("double", center, exponent) in p.provenance:
+                continue
+            p, _ = _double_and_check_branches(sent, p, center, exponent)
+            doublings += 1
+    p4, z = _p4_case()
+    assert _double_and_check_branches(sent, p4, z, 1)[1] == 1
+    p = patches.base_patch(R6)
+    for step in R6_STEPS:
+        name, exponent = step.rsplit(":", 1)
+        p, commuting = _double_and_check_branches(
+            sent, p, patches.named_vertices(p)[name], int(exponent))
+    assert commuting == 1        # the last step's, r0^(r4 r4) with r1^(r3^-1)
+
+
+def test_branch_cut_leaves_exponent_1_families_no_cross_pairs(c5, petersen, monkeypatch):
+    """The exponent-1 families of C5 at depth 3 and Petersen at depth 2
+    send only the base patch's adjacent pairs to `_commute_cg`; the last
+    R6 step and the P4 case still send their commuting cross pairs."""
+    sent = _record_commute_calls(monkeypatch)
+    for g, depth in ((c5, 3), (petersen, 2)):
+        sent.clear()
+        family = patches.doubling_family(g, depth)
+        assert len(family) > 100
+        assert len(sent) == len(g.edges)        # all from `base_patch`
+    p = patches.base_patch(R6)
+    for step in R6_STEPS[:-1]:
+        name, exponent = step.rsplit(":", 1)
+        p = patches.double_along_star(
+            p, patches.named_vertices(p)[name], int(exponent))
+    sent.clear()
+    patches.double_along_star(p, patches.named_vertices(p)["r2"], 2)
+    assert len(sent) >= 1
+    p4, z = _p4_case()
+    sent.clear()
+    patches.double_along_star(p4, z, 1)
+    assert len(sent) == 1
 
 
 def test_caches_are_bounded():
