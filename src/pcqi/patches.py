@@ -321,15 +321,14 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     # A moved vertex's branch depends only on its conjugator (see
     # `_branch`), so each conjugator is stripped once; a new vertex lies in
     # its preimage's branch less the exponent.
-    branch, branch_of = [0] * n, {}
+    branch = {}
     moved, new, new_by_key = [], [], {}
     coset = words._coset_letters
     for i, cg in enumerate(cgs):
         if not fixed >> i & 1:
-            br = branch_of.get(cg.conj)
+            br = branch.get(cg.conj)
             if br is None:
-                br = branch_of[cg.conj] = _branch(g, center, cg)
-            branch[i] = br
+                br = branch[cg.conj] = _branch(g, center, cg)
             im = ConjugateGenerator(cg.base, coset(g, cg.base, cg.conj + zc))
             k = index.get(im)
             if k is None:
@@ -364,7 +363,7 @@ def double_along_star(p: Patch, center: ConjugateGenerator, exponent: int) -> Pa
     for i, x in enumerate(cgs):
         if copy >> i & 1:
             continue
-        br = branch[i]
+        br = branch[x.conj]
         for base in adjacency[x.base]:
             for k, y in new_by_key.get((base, br), ()):
                 if commute(g, x, y) if x.base < base else commute(g, y, x):
