@@ -97,7 +97,7 @@ def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
     seen = set()
     for l in range(level):
         for p in _doubling_level(cod, l, vertex_budget):
-            seen.add(frozenset(p.cg_vertices))
+            seen.add(p.vertex_set)
     out = []
     parents = sorted(_doubling_level(cod, level - 1, vertex_budget),
                      key=lambda p: p.n)
@@ -107,10 +107,9 @@ def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
                 q = patches.double_along_star(p, center, _fresh_exponent(p, center))
             except patches.BudgetExceeded:
                 continue
-            key = frozenset(q.cg_vertices)
-            if key in seen:
+            if q.vertex_set in seen:
                 continue
-            seen.add(key)
+            seen.add(q.vertex_set)
             out.append(q)
             if len(out) >= MAX_PATCHES_PER_LEVEL:
                 return tuple(out)
@@ -127,12 +126,16 @@ def patch_certificates(dom: SimplicialGraph, p: Patch, limit=None):
 
 
 def _certificates(dom, plan, p, limit):
-    """`patch_certificates` with the domain's search plan built already."""
-    cgs, nbrs = p.search_view
+    """`patch_certificates` with the domain's search plan built already.
+    A patch whose degree counts cannot hold the domain has none, and is
+    not given a `search_view`."""
+    if not graphs._can_hold(plan, p.degree_counts):
+        return []
+    cgs, nbrs, fits = p.search_view
     return [EmbeddingCertificate(
                 dom, p.graph, tuple(sorted(zip(plan.order, [cgs[k] for k in f]))),
                 p.provenance)
-            for f in graphs._embedding_search(plan, nbrs, limit)]
+            for f in graphs._embedding_search(plan, nbrs, limit, fits)]
 
 
 def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
@@ -150,8 +153,6 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
     plan = graphs._domain_plan(dom)
     for level in range(budget.max_depth + 1):
         for p in _doubling_level(cod, level, vertex_budget):
-            if p.n < dom.n:
-                continue
             for cert in _certificates(dom, plan, p, limit=1):
                 if verify_certificate(cert):
                     return cert

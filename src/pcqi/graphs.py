@@ -17,6 +17,13 @@ per image set.  The search body reads the codomain as one neighbour bit
 mask per vertex index, not as a named graph, and the domain as a plan
 built once; so a caller holding masks (a patch of the extension graph)
 searches many codomains without building a graph for each.
+
+Before any backtracking, degrees are counted (Ullmann, J. ACM 1976): an
+induced embedding is injective and maps a vertex of degree d to one of
+degree at least d, so a codomain holds the domain only if, for every d,
+it has at least as many vertices of degree at least d as the domain has
+(`_can_hold`).  The counts do not depend on the vertex order, so a patch
+tests them before it names, sorts or permutes its vertices.
 """
 
 from __future__ import annotations
@@ -373,6 +380,8 @@ class _DomainPlan(NamedTuple):
     later: list         # later[i][j]: is order[i + 1 + j] a neighbour of order[i]?
     cuts: list          # cuts[i]: (j, above) when order[i + 1 + j] must map
                         # above (above is true) or below the image of order[i]
+    counts: list        # (d, c) for each domain degree d: c vertices have
+                        # degree at least d
 
 
 def _domain_plan(dom, conditions=()):
@@ -390,7 +399,11 @@ def _domain_plan(dom, conditions=()):
         for a, b in conditions:
             i, j = sorted((pos[a], pos[b]))
             cuts[i].append((j - i - 1, pos[a] == i))
-    return _DomainPlan(order, [len(adj[v]) for v in order], later, cuts)
+    degrees = [len(adj[v]) for v in order]
+    # degrees descend, so the vertices of degree at least d are a prefix
+    counts = [(d, c) for c, d in enumerate(degrees, 1)
+              if c == len(degrees) or degrees[c] < d]
+    return _DomainPlan(order, degrees, later, cuts, counts)
 
 
 def _masks(vertices, edges):
@@ -406,30 +419,58 @@ def _masks(vertices, edges):
     return nbrs
 
 
-def _embedding_search(plan, nbrs, limit=None):
+def _fits(nbrs):
+    """fits[d]: the vertices of degree at least d under the neighbour masks
+    `nbrs`, as a bit mask over their order, for d up to the largest
+    degree.  The bit counts, `[m.bit_count() for m in fits]`, are the
+    degree counts that `_can_hold` reads, the same in every vertex order."""
+    fits = [0] * (max((m.bit_count() for m in nbrs), default=0) + 1)
+    for k, m in enumerate(nbrs):
+        fits[m.bit_count()] |= 1 << k
+    for d in range(len(fits) - 2, -1, -1):
+        fits[d] |= fits[d + 1]
+    return fits
+
+
+def _can_hold(plan, counts):
+    """False when counting degrees proves that no induced copy of the
+    domain of `plan` lies in a codomain with counts[d] vertices of degree
+    at least d, for d up to its largest degree.  An embedding is injective
+    and maps a vertex of degree d to one of degree at least d, so the
+    codomain needs, for every domain degree d, as many vertices of degree
+    at least d as the domain has (Ullmann, J. ACM 1976)."""
+    return all(d < len(counts) and counts[d] >= c for d, c in plan.counts)
+
+
+def _embedding_search(plan, nbrs, limit=None, fits=None):
     """The induced embeddings of the domain of `plan` into the codomain
     whose k-th vertex has the neighbour mask nbrs[k], at most `limit` of
     them, as tuples of codomain indices in `plan.order`, in lexicographic
-    order, found by forward-checking backtracking.
+    order, found by forward-checking backtracking.  `fits` is the
+    codomain's `_fits(nbrs)`, built here unless the caller carries it.
 
-    The images of each domain vertex are tried in codomain index order.
-    Every unmatched domain vertex keeps a candidate set, a bit mask over the
-    codomain vertices, that starts as the vertices of at least its degree.
-    Mapping v -> c narrows the set of each later vertex to the neighbours of
-    c if it is a neighbour of v, and to the non-neighbours of c otherwise,
-    and removes c; a branch stops as soon as a set is empty.  Both filters
-    remove only maps with no completion, so the embeddings come out in the
-    same order as a search that tries every codomain vertex and checks each
-    mapped pair, for every `limit`.
+    A codomain whose degree counts fail `_can_hold` has no embedding, and
+    is not searched.  Otherwise the images of each domain vertex are tried
+    in codomain index order.  Every unmatched domain vertex keeps a
+    candidate set, a bit mask over the codomain vertices, that starts as
+    the vertices of at least its degree.  Mapping v -> c narrows the set of
+    each later vertex to the neighbours of c if it is a neighbour of v, and
+    to the non-neighbours of c otherwise, and removes c; a branch stops as
+    soon as a set is empty.  The count and both filters remove only maps
+    with no completion, so the embeddings come out in the same order as a
+    search that tries every codomain vertex and checks each mapped pair,
+    for every `limit`.
 
     Each condition of the plan is one more cut when the earlier-matched
     vertex of its pair is mapped: the set of the later one keeps only the
     indices above, or below, that image.
     """
+    if fits is None:
+        fits = _fits(nbrs)
+    if (limit is not None and limit <= 0
+            or not _can_hold(plan, [m.bit_count() for m in fits])):
+        return []
     order, later, cuts = plan.order, plan.later, plan.cuts
-    degrees = [m.bit_count() for m in nbrs]
-    fits = {d: sum(1 << k for k, e in enumerate(degrees) if e >= d)
-            for d in set(plan.degrees)}
     image = [None] * len(order)
     out = []
 
@@ -463,9 +504,8 @@ def _embedding_search(plan, nbrs, limit=None):
                         return True
         return False
 
-    cands = [fits[d] for d in plan.degrees]
-    if (limit is None or limit > 0) and all(cands):
-        extend(0, cands)
+    # every domain degree passed `_can_hold`, so every set is nonempty
+    extend(0, [fits[d] for d in plan.degrees])
     return out
 
 

@@ -60,35 +60,32 @@ class BudgetExceeded(PatchError):
 @dataclass(frozen=True, order=True)
 class ConjugateGenerator:
     # Slots keep an instance small; the hash is computed once, the name and
-    # the conjugator's inverse on first use, and none of them is part of
-    # equality or ordering.
+    # the conjugator's inverse on first use (None until then), and none of
+    # them is part of equality or ordering.
     __slots__ = ("base", "conj", "_hash", "_name", "_inverse")
     base: str
     conj: tuple   # canonical coset-representative letters
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.base, self.conj)))
+        object.__setattr__(self, "_name", None)
+        object.__setattr__(self, "_inverse", None)
 
     def __hash__(self):
         return self._hash
 
     def name(self):
-        try:
-            return self._name
-        except AttributeError:
+        if self._name is None:
             name = (f"{self.base}^" + words.format_letters(self.conj)
                     if self.conj else self.base)
             object.__setattr__(self, "_name", name)
-            return name
+        return self._name
 
     def conj_inverse(self) -> tuple:
         """The letters of the conjugator's inverse."""
-        try:
-            return self._inverse
-        except AttributeError:
-            inverse = words.inverse_letters(self.conj)
-            object.__setattr__(self, "_inverse", inverse)
-            return inverse
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", words.inverse_letters(self.conj))
+        return self._inverse
 
     def conj_word(self, g: SimplicialGraph) -> GroupWord:
         return GroupWord(g, self.conj)
@@ -193,12 +190,21 @@ class Patch:
         return cg in self._index
 
     @cached_property
+    def degree_counts(self) -> list:
+        """counts[d]: how many vertices have degree at least d, for d up to
+        the largest degree, read from `nbrs` on first use; the same in every
+        vertex order, and not part of equality or hashing.  A search tests
+        them (`graphs._can_hold`) before it builds the `search_view`."""
+        return [m.bit_count() for m in graphs._fits(self.nbrs)]
+
+    @cached_property
     def search_view(self) -> tuple:
-        """(cgs, nbrs): the vertices in the order of `to_simplicial`'s
-        names, ties broken by (base, conj), and each one's neighbours as a
-        bit mask over that order, the carried masks permuted on first use;
-        not part of equality or hashing.  The embedding search reads this
-        view, so vertices whose names coincide stay distinct."""
+        """(cgs, nbrs, fits): the vertices in the order of `to_simplicial`'s
+        names, ties broken by (base, conj), each one's neighbours as a bit
+        mask over that order, the carried masks permuted on first use, and
+        the per-degree candidate masks `graphs._fits(nbrs)`; not part of
+        equality or hashing.  The embedding search reads this view, so
+        vertices whose names coincide stay distinct."""
         cgs = self.cg_vertices
         order = sorted(range(len(cgs)), key=lambda i: (cgs[i].name(), cgs[i]))
         bit = [0] * len(cgs)
@@ -212,7 +218,7 @@ class Patch:
                 m ^= low
                 out |= bit[low.bit_length() - 1]
             nbrs.append(out)
-        return tuple(cgs[i] for i in order), nbrs
+        return tuple(cgs[i] for i in order), nbrs, graphs._fits(nbrs)
 
 
 def _index_pairs(nbrs):

@@ -240,9 +240,12 @@ def _patch_copies(plan, p: patches.Patch):
     """(cgs, copies): the conjugate generators of p in the order of its
     `search_view`, and the embeddings into p that meet the symmetry-breaking
     conditions of the domain's search `plan`, one per image set, as tuples
-    of indices into cgs in `plan.order`."""
-    cgs, nbrs = p.search_view
-    return cgs, graphs._embedding_search(plan, nbrs)
+    of indices into cgs in `plan.order`.  A patch whose degree counts
+    cannot hold the domain has no copies, and is not given a view."""
+    if not graphs._can_hold(plan, p.degree_counts):
+        return (), []
+    cgs, nbrs, fits = p.search_view
+    return cgs, graphs._embedding_search(plan, nbrs, fits=fits)
 
 
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
@@ -288,9 +291,9 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, auts))
     order = plan.order
     # per rho: rho^-1 in search order, and rho as a decomposition's automorphism
-    expansion = [(tuple({w: v for v, w in rho.items()}[u] for u in order),
-                  tuple(sorted(rho.items())))
-                 for rho in auts]
+    inverses = [{w: v for v, w in rho.items()} for rho in auts]
+    expansion = [(tuple(inv[u] for u in order), tuple(sorted(rho.items())))
+                 for inv, rho in zip(inverses, auts)]
     seen = set()
     decs, fails = [], []
     found = 0

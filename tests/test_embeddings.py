@@ -219,6 +219,33 @@ def test_patch_certificates_keep_vertices_that_share_a_name():
     assert {frozenset(cg for _, cg in cert.mapping) for cert in certs} == {p.vertex_set}
 
 
+def test_degree_counts_skip_patches_that_cannot_hold_the_domain(monkeypatch):
+    """K1,4 searched in ext(P4) at depth 2: a patch with fewer than one
+    vertex of degree 4, or fewer than five vertices, cannot hold it.  Such
+    patches are neither searched nor given a search view, so fewer searches
+    run than patches are tried.  P4 has names of its own, so no other test
+    has built views on its cached family."""
+    p4 = graphs.graph(["w0", "w1", "w2", "w3"], [("w0", "w1"), ("w1", "w2"), ("w2", "w3")])
+    tried, searched = [], []
+    certificates, search = embeddings._certificates, graphs._embedding_search
+
+    def recording_certificates(dom, plan, p, limit):
+        tried.append((plan, p))
+        return certificates(dom, plan, p, limit)
+
+    def counting_search(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "_certificates", recording_certificates)
+    monkeypatch.setattr(graphs, "_embedding_search", counting_search)
+    cert = embeddings.search_embedding(star(4), p4, SearchBudget(max_depth=2))
+    assert cert is not None and embeddings.verify_certificate(cert)
+    refused = [p for plan, p in tried if not graphs._can_hold(plan, p.degree_counts)]
+    assert refused and len(searched) == len(tried) - len(refused) < len(tried)
+    assert not any("search_view" in vars(p) for p in refused)
+
+
 def test_search_needs_no_named_patch_graph(c5, wedge, path4, monkeypatch):
     """Searching and the rigidity experiment read the carried view: with
     the named-graph route disabled they still succeed."""

@@ -260,6 +260,30 @@ def test_embedding_search_matches_reference_on_patches(path4):
                     == find_induced_embeddings_reference(g, plain))
 
 
+def test_degree_count_rule_fires_only_where_there_is_no_embedding(rng):
+    """`_can_hold` refuses a codomain only when the brute-force oracle finds
+    no embedding into it, and the search then returns none.  The domain's
+    (d, count) pairs and the codomain's counts are those of the named
+    graphs, and the rule fires on a good share of small random pairs."""
+    fired = 0
+    for _ in range(600):
+        dom = random_graph(rng.randrange(1, 5), rng.random(), rng, "d")
+        cod = random_graph(rng.randrange(0, 7), rng.random(), rng, "c")
+        plan = graphs._domain_plan(dom)
+        degs = [graphs.degree(dom, v) for v in dom.vertices]
+        assert plan.counts == [(d, sum(e >= d for e in degs))
+                               for d in sorted(set(degs), reverse=True)]
+        nbrs = graphs._masks(cod.vertices, cod.edges)
+        counts = [m.bit_count() for m in graphs._fits(nbrs)]
+        degs = [graphs.degree(cod, v) for v in cod.vertices]
+        assert counts == [sum(e >= d for e in degs) for d in range(max(degs, default=0) + 1)]
+        if not graphs._can_hold(plan, counts):
+            fired += 1
+            assert embeddings_oracle(dom, cod) == []
+            assert graphs._embedding_search(plan, nbrs) == []
+    assert fired >= 100
+
+
 def _symmetry_broken_cases(rng, petersen):
     for _ in range(300):
         yield (random_graph(rng.randrange(1, 6), rng.random(), rng, "d"),

@@ -473,7 +473,7 @@ def test_shared_names_are_refused_not_merged():
         with pytest.raises(patches.PatchError, match="'a\\^b'"):
             output(p)
     # the search view keeps all six, ties in name broken by (base, conj)
-    cgs, nbrs = p.search_view
+    cgs, nbrs, _ = p.search_view
     assert [cg.name() for cg in cgs] == ["a", "a^b", "a^b", "a^b^b", "b", "c"]
     assert cgs[1:3] == (ConjugateGenerator("a", (("b", 1),)), ConjugateGenerator("a^b", ()))
     assert nbrs == [1 << 5] * 5 + [(1 << 5) - 1]
@@ -501,11 +501,22 @@ def test_search_view_matches_to_simplicial(c5, petersen, path4):
     """Where names are distinct, the carried view is `to_simplicial`'s
     graph: the same vertices name for name and the same neighbour masks."""
     for p in _view_patches(c5, petersen, path4):
-        cgs, nbrs = p.search_view
+        cgs, nbrs, fits = p.search_view
         s = patches.to_simplicial(p)
         assert tuple(cg.name() for cg in cgs) == s.vertices
         assert nbrs == graphs._masks(s.vertices, s.edges)
+        assert fits == graphs._fits(nbrs)
         assert p.search_view is p.search_view
+
+
+def test_degree_counts_match_to_simplicial(c5, petersen, path4):
+    """A patch's degree counts, read from its masks in insertion order, are
+    those of `to_simplicial`'s graph and of its permuted search view."""
+    for p in _view_patches(c5, petersen, path4):
+        s = patches.to_simplicial(p)
+        degs = [graphs.degree(s, v) for v in s.vertices]
+        assert p.degree_counts == [sum(e >= d for e in degs) for d in range(max(degs) + 1)]
+        assert p.degree_counts == [m.bit_count() for m in p.search_view[2]]
 
 
 def test_doubling_family(c5, monkeypatch):

@@ -373,6 +373,20 @@ def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
             experiment(c5, 0)
 
 
+def test_patch_copies_skip_a_patch_that_cannot_hold_the_domain(petersen):
+    """Petersen's ten vertices of degree 3 do not fit in a patch of ext(C5)
+    at depth 1, so its copies there are none and the patch gets no search
+    view; C5 itself fits, and is searched."""
+    c5 = cycle(5, prefix="y")
+    for g, fits in ((petersen, False), (c5, True)):
+        plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, graphs.automorphisms(g)))
+        for p in patches.doubling_family(c5, 1):
+            cgs, copies = rigidity._patch_copies(plan, p)
+            assert ("search_view" in vars(p)) == fits == bool(copies)
+            if not fits:
+                assert cgs == ()
+
+
 def test_experiment_petersen_depth2_counts(petersen):
     rep = rigidity.rigidity_experiment(petersen, 2)
     assert (rep.patch_count, rep.embeddings_found, rep.failures) == (146, 17520, ())
