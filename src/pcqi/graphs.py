@@ -438,8 +438,13 @@ def _can_hold(plan, counts):
     at least d, for d up to its largest degree.  An embedding is injective
     and maps a vertex of degree d to one of degree at least d, so the
     codomain needs, for every domain degree d, as many vertices of degree
-    at least d as the domain has (Ullmann, J. ACM 1976)."""
-    return all(d < len(counts) and counts[d] >= c for d, c in plan.counts)
+    at least d as the domain has (Ullmann, J. ACM 1976).  A plain loop:
+    every patch tried goes through this test, and most fail it."""
+    top = len(counts)
+    for d, c in plan.counts:
+        if d >= top or counts[d] < c:
+            return False
+    return True
 
 
 def _embedding_search(plan, nbrs, limit=None, fits=None):
