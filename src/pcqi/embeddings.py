@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import graphs, patches
+from . import graphs, patches, words
 from .graphs import SimplicialGraph
 from .patches import ConjugateGenerator, Patch
 
@@ -21,6 +21,8 @@ LEVEL_CACHE_SIZE = 64
 # A certificate is verified where it is built and again by its consumer;
 # the cache only needs to bridge that gap.
 CERTIFICATE_CACHE_SIZE = 16
+# Balls are kept per codomain, radius and budget, as the doubling levels are.
+BALL_PATCH_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,34 @@ def verify_certificate(cert: EmbeddingCertificate) -> bool:
     canonical, pairwise distinct, and commute exactly along domain edges.
     Cached on the whole certificate's value.
 
+    Each image is checked on its letters, in mapping order: first the
+    letters and the base, with the errors of `GroupWord` and
+    `patches.conjugate_generator`, then whether u^x is canonical, that is,
+    whether x is the canonical word of the coset C(u)·x
+    (`words._coset_letters`).  It is exactly when x is in normal form and
+    no letter of st(u) shuffles to its front (`words._coset_keeps`).  Each
+    distinct conjugator's normal form is checked once; a word of fewer
+    than two letters is normal.
+
     The pairs are walked once.  Distinct images commute only when their
     bases are adjacent (the defining-graph cases of `patches.commute_cg`),
-    so only those pairs reach the word algebra, ordered by base."""
+    and then always when their conjugators are equal, so only the other
+    adjacent-base pairs reach the word algebra, ordered by base."""
     m = cert.as_dict()
     dom, cod = cert.domain, cert.codomain
     if set(m) != dom.vertex_set:
         return False
-    for v, cg in m.items():
-        canon = patches.conjugate_generator(cod, cg.base, cg.conj_word(cod))
-        if canon != cg:
+    normal = set()
+    for cg in m.values():
+        conj = cg.conj
+        words.check_letters(cod, conj)
+        if cg.base not in cod:
+            raise patches.PatchError(f"unknown base vertex {cg.base!r}")
+        if conj not in normal:
+            if len(conj) > 1 and words._normal_letters(cod, conj) != conj:
+                return False
+            normal.add(conj)
+        if not words._coset_keeps(cod, cg.base, conj):
             return False
     cgs = list(m.values())
     if len(set(cgs)) != len(cgs):
@@ -72,6 +92,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> bool:
             b = m[v]
             if b.base not in link:
                 edge = False
+            elif a.conj == b.conj:
+                edge = True
             else:
                 edge = commute(cod, a, b) if a.base < b.base else commute(cod, b, a)
             if edge != (v in nbrs):
@@ -116,6 +138,15 @@ def _doubling_level(cod: SimplicialGraph, level: int, vertex_budget: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=BALL_PATCH_CACHE_SIZE)
+def _ball(cod: SimplicialGraph, radius: int, vertex_budget: int):
+    """`patches.ball_patch(cod, radius)`, cached so searches over one
+    codomain share each ball and its search view; `vertex_budget` is the
+    patch budget in force, which decides whether the ball is refused, so it
+    is part of the key.  A refusal raises, and is not cached."""
+    return patches.ball_patch(cod, radius)
+
+
 def patch_certificates(dom: SimplicialGraph, p: Patch, limit=None):
     """Certificates of the induced embeddings of `dom` into the patch `p`,
     at most `limit` of them, in `graphs.find_induced_embeddings` order on
@@ -145,7 +176,8 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
 
     Strategy: breadth-first iterative deepening over doubling sequences
     (exponents kept fresh per center, small parents expanded first), then
-    whole balls of growing radius as a fallback.
+    whole balls of growing radius as a fallback, up to the first one the
+    budget refuses.  Both are kept per codomain.
     """
     if dom.n == 0 or cod.n == 0:
         raise patches.PatchError("empty graph in embedding search")
@@ -158,7 +190,7 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
                     return cert
     for radius in range(1, min(budget.max_depth, 2) + 1):
         try:
-            ball = patches.ball_patch(cod, radius)
+            ball = _ball(cod, radius, vertex_budget)
         except patches.BudgetExceeded:
             break
         for cert in _certificates(dom, plan, ball, limit=1):

@@ -344,7 +344,9 @@ class AtomicViolation:
 
 def is_atomic(g):
     """(True, None) iff g is connected with min degree >= 2, girth >= 5 and
-    no separating closed star; otherwise (False, violation)."""
+    no separating closed star; otherwise (False, violation).  Each star is
+    tested on the neighbour masks: the rest of the graph is connected when
+    a breadth-first search inside it reaches all of it (`_reach`)."""
     if not is_connected(g):
         return False, AtomicViolation("disconnected", ())
     for v in g.vertices:
@@ -353,13 +355,33 @@ def is_atomic(g):
     gr = girth(g)
     if gr is not None and gr < 5:
         return False, AtomicViolation("girth", (gr,))
-    for v in g.vertices:
-        rest = set(g.vertices) - star(g, v)
+    nbrs = _masks(g.vertices, g.edges)
+    everything = (1 << g.n) - 1
+    for k, v in enumerate(g.vertices):
+        rest = everything & ~(nbrs[k] | 1 << k)
         if not rest:
             return False, AtomicViolation("star_exhausts", (v,))
-        if not is_connected(induced_subgraph(g, rest)):
+        if _reach(nbrs, rest & -rest, rest) != rest:
             return False, AtomicViolation("separating_star", (v,))
     return True, None
+
+
+def _reach(nbrs, start, within=-1, steps=-1):
+    """The vertices that a breadth-first search under the neighbour masks
+    `nbrs` reaches from the bit mask `start` in at most `steps` steps, or
+    in any number when `steps` is negative, moving only inside the bit
+    mask `within`."""
+    reached = level = start
+    while level and steps:
+        steps -= 1
+        nxt = 0
+        while level:
+            low = level & -level
+            level ^= low
+            nxt |= nbrs[low.bit_length() - 1]
+        level = nxt & within & ~reached
+        reached |= level
+    return reached
 
 
 @dataclass(frozen=True)
@@ -447,12 +469,14 @@ def _can_hold(plan, counts):
     return True
 
 
-def _embedding_search(plan, nbrs, limit=None, fits=None):
+def _embedding_search(plan, nbrs, limit=None, fits=None, new_from=0):
     """The induced embeddings of the domain of `plan` into the codomain
     whose k-th vertex has the neighbour mask nbrs[k], at most `limit` of
     them, as tuples of codomain indices in `plan.order`, in lexicographic
     order, found by forward-checking backtracking.  `fits` is the
     codomain's `_fits(nbrs)`, built here unless the caller carries it.
+    When `new_from` is nonzero, only the embeddings that use a codomain
+    vertex of index `new_from` or more are found.
 
     A codomain whose degree counts fail `_can_hold` has no embedding, and
     is not searched.  Otherwise the images of each domain vertex are tried
@@ -468,7 +492,9 @@ def _embedding_search(plan, nbrs, limit=None, fits=None):
 
     Each condition of the plan is one more cut when the earlier-matched
     vertex of its pair is mapped: the set of the later one keeps only the
-    indices above, or below, that image.
+    indices above, or below, that image.  Until an image has an index of
+    `new_from` or more, a branch also stops as soon as no candidate set has
+    one, which removes only the embeddings that have none.
     """
     if fits is None:
         fits = _fits(nbrs)
@@ -479,12 +505,15 @@ def _embedding_search(plan, nbrs, limit=None, fits=None):
     image = [None] * len(order)
     out = []
 
-    def extend(i, cands):
-        """Map order[i:] with cands[j] the candidates of order[i + j];
-        true once `limit` embeddings are found."""
+    def extend(i, cands, bound):
+        """Map order[i:] with cands[j] the candidates of order[i + j], one
+        image's bit at least `bound` unless it is 0; true once `limit`
+        embeddings are found."""
         if i == len(order):
             out.append(tuple(image))
             return limit is not None and len(out) >= limit
+        if bound and max(cands) < bound:
+            return False
         untried, rest, rows, cut = cands[0], cands[1:], later[i], cuts[i]
         while untried:
             low = untried & -untried
@@ -505,12 +534,12 @@ def _embedding_search(plan, nbrs, limit=None, fits=None):
                         break
                 else:
                     image[i] = k
-                    if extend(i + 1, narrowed):
+                    if extend(i + 1, narrowed, 0 if low >= bound else bound):
                         return True
         return False
 
     # every domain degree passed `_can_hold`, so every set is nonempty
-    extend(0, [fits[d] for d in plan.degrees])
+    extend(0, [fits[d] for d in plan.degrees], 1 << new_from if new_from else 0)
     return out
 
 

@@ -385,10 +385,18 @@ def doubling_family(g: SimplicialGraph, depth: int) -> list:
 
     BudgetExceeded propagates: a family cut by the vertex budget is not
     returned as if it were complete."""
+    return _doubling_family(g, depth)[0]
+
+
+def _doubling_family(g, depth):
+    """(family, parent_sizes): `doubling_family`, and the vertex count of
+    each patch's parent, 0 for the base patch.  A doubling keeps its
+    parent's vertices in order and appends the new ones, so the vertices of
+    a patch from that count on are those its doubling added."""
     if depth < 0:
         raise PatchError(f"negative depth {depth}")
     base = base_patch(g)
-    family, frontier = [base], [base]
+    family, parent_sizes, frontier = [base], [0], [base]
     seen = {base.vertex_set}
     for _ in range(depth):
         nxt = []
@@ -400,9 +408,10 @@ def doubling_family(g: SimplicialGraph, depth: int) -> list:
                 if q.vertex_set not in seen:
                     seen.add(q.vertex_set)
                     family.append(q)
+                    parent_sizes.append(p.n)
                     nxt.append(q)
         frontier = nxt
-    return family
+    return family, parent_sizes
 
 
 @lru_cache(maxsize=BALL_CACHE_SIZE)

@@ -6,7 +6,10 @@ graph is a conjugation composed with a graph automorphism.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import embeddings, graphs, patches, words
@@ -146,6 +149,83 @@ class Decomposition:
     automorphism: tuple         # ((v, sigma(v)), ...)
 
 
+def _report_order(copies, expansion):
+    """(copy, rho) for each of `copies` and each (perm, rho) of
+    `expansion`, in report order.  A copy is (c, payload), with c its
+    images by base vertex in `graph.vertices` order, and perm the positions
+    there of rho^-1 of the search order, so that the embedding c ∘ rho^-1
+    has the images [c[i] for i in perm] in search order.  The embeddings of
+    one patch are ordered on those images, each ranked as
+    `Patch.search_view` ranks it, by (name, vertex): the order does not
+    depend on the patch, so no view is built."""
+    keyed = []
+    for copy in copies:
+        ranked = [(cg.name(), cg) for cg in copy[0]]
+        keyed.extend((tuple([ranked[i] for i in perm]), copy, perm, rho)
+                     for perm, rho in expansion)
+    keyed.sort(key=operator.itemgetter(0))
+    return [(copy, perm, rho) for _, copy, perm, rho in keyed]
+
+
+class _Decompositions(Sequence):
+    """The decompositions of a `RigidityReport`, stored once per conjugate
+    copy and expanded when read.  A read-only sequence whose length, items,
+    order, equality and hash are those of the tuple of every embedding's
+    `Decomposition` in report order.
+
+    `batches` holds, per patch with a decomposing new copy, those copies as
+    (c, conjugator), with c the images by base vertex, and `expansion` the
+    Aut(g) of `_report_order`: the embedding c ∘ rho^-1 decomposes as
+    (conjugator, rho)."""
+
+    def __init__(self, batches, expansion):
+        self._batches = batches
+        self._expansion = expansion
+        self._ends = list(itertools.accumulate(len(b) * len(expansion) for b in batches))
+        self._read = (None, ())     # the batch expanded last, for indexing
+
+    @property
+    def copy_count(self):
+        """How many conjugate copies are stored."""
+        return sum(map(len, self._batches))
+
+    def _expand(self, k):
+        if self._read[0] != k:
+            self._read = (k, [Decomposition(conj, rho) for (_, conj), _, rho
+                              in _report_order(self._batches[k], self._expansion)])
+        return self._read[1]
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for k in range(len(self._batches)):
+            yield from self._expand(k)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("decomposition index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        return self._expand(k)[i - (self._ends[k - 1] if k else 0)]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Decompositions)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RigidityReport:
     """Outcome of `rigidity_experiment`.  The decomposition of each
@@ -159,7 +239,7 @@ class RigidityReport:
     depth: int
     patch_count: int
     embeddings_found: int
-    decompositions: tuple       # of the embeddings that decompose, in order
+    decompositions: Sequence    # of the embeddings that decompose, in order
     failures: tuple             # EmbeddingCertificates with no decomposition
 
     def to_json(self):
@@ -183,11 +263,14 @@ def _join(g, j, w):
 
     j and w are reduced, so reducing j·w⁻¹ cancels exactly that common
     suffix, each pair deleting one letter of j; the letters of j left in
-    front of the reduced word are the rest of j."""
+    front of the reduced word are the rest of j.  j is in normal form, so
+    it is its own join with the empty word and with itself."""
+    if not w or w == j:
+        return j
     out = words._reduce(g, j + words.inverse_letters(w))
     cancelled = (len(j) + len(w) - len(out)) // 2
     rest = tuple(out[:len(j) - cancelled])
-    return words.normal_form(GroupWord(g, rest + w)).letters
+    return words._normal_letters(g, rest + w)
 
 
 def _base_map(cert: embeddings.EmbeddingCertificate):
@@ -209,6 +292,17 @@ def _base_map(cert: embeddings.EmbeddingCertificate):
     return sigma
 
 
+def _check_conjugator(g, letters):
+    """The errors the word algebra meets on malformed conjugator letters:
+    a KeyError for a generator outside g, which the adjacency lookup of
+    `words._reduce` meets first, scanning the inverse word, then a
+    WordError for a bad sign."""
+    for gen, _ in reversed(letters):
+        if gen not in g:
+            raise KeyError(gen)
+    words.check_letters(g, letters)
+
+
 def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     """(g, sigma) with image(sigma(v)) = v^g for all v, or None.
 
@@ -220,32 +314,46 @@ def decompose_embedding(cert: embeddings.EmbeddingCertificate):
     suffix order, up to the centre, which is trivial for an atomic graph.
     The join is checked against every coset, so None means no decomposition
     exists: a genuine counterexample to rigidity, not an incomplete search.
-    """
+
+    The work runs on letters.  The conjugators are checked once, first, in
+    the order of the codomain's vertices (`_check_conjugator`)."""
     sigma = _base_map(cert)
     if sigma is None:
         return None
     g = cert.codomain
     m = cert.as_dict()
+    cosets = [m[sigma[v]].conj for v in g.vertices]
+    for c in cosets:
+        _check_conjugator(g, c)
     conj = ()
-    for v in g.vertices:
-        conj = _join(g, conj, m[sigma[v]].conj)
-    cand = GroupWord(g, conj)
-    if any(words.coset_canonical(v, cand).letters != m[sigma[v]].conj
-           for v in g.vertices):
+    for c in cosets:
+        conj = _join(g, conj, c)
+    if any(words._coset_letters(g, v, conj) != c for v, c in zip(g.vertices, cosets)):
         return None
     return Decomposition(conj, tuple(sorted(sigma.items())))
 
 
-def _patch_copies(plan, p: patches.Patch):
-    """(cgs, copies): the conjugate generators of p in the order of its
-    `search_view`, and the embeddings into p that meet the symmetry-breaking
-    conditions of the domain's search `plan`, one per image set, as tuples
-    of indices into cgs in `plan.order`.  A patch whose degree counts
-    cannot hold the domain has no copies, and is not given a view."""
-    if not graphs._can_hold(plan, p.degree_counts):
+def _patch_copies(plan, p: patches.Patch, new_from=0, radius=None):
+    """(cgs, copies): the vertices of p in insertion order, and the
+    embeddings into p that meet the symmetry-breaking conditions of the
+    domain's search `plan`, one per image set, as tuples of indices into
+    cgs in `plan.order`; when `new_from` is nonzero, only those that use a
+    vertex at that index or later.  The search reads the carried `nbrs`, and
+    counts degrees on the candidate masks it starts from; a patch whose
+    counts cannot hold the domain has no copies, and cgs is then ().
+
+    `radius`, when given, is the diameter of the domain, which is then
+    connected.  A copy lies within that distance of each of its vertices,
+    so the copies that use a vertex from `new_from` on are searched among
+    the vertices within that distance of one."""
+    nbrs = p.nbrs
+    fits = graphs._fits(nbrs)
+    if not graphs._can_hold(plan, [m.bit_count() for m in fits]):
         return (), []
-    cgs, nbrs, fits = p.search_view
-    return cgs, graphs._embedding_search(plan, nbrs, fits=fits)
+    if new_from and radius is not None:
+        near = graphs._reach(nbrs, (1 << p.n) - (1 << new_from), steps=radius)
+        fits = [m & near for m in fits]
+    return p.cg_vertices, graphs._embedding_search(plan, nbrs, fits=fits, new_from=new_from)
 
 
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
@@ -280,52 +388,66 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
       the embeddings c ∘ rho^-1, each decomposing as (the conjugator, rho),
       and the |Aut(g)| rho are shared by every image set.
 
-    Each patch's new embeddings are sorted on their tuple of codomain
-    indices in search order, which is the order `find_induced_embeddings`
-    enumerates them in, so the report is that of decomposing every
-    embedding of every patch in turn.  A certificate is built only for a
-    failure."""
+    A doubled patch is searched only for the copies that use a vertex its
+    doubling added (the delta cut), and only among the vertices within the
+    diameter of g of one, since a copy lies that close to each of its
+    vertices.  The patch's other vertices are its parent's, with the
+    parent's edges, since both patches are induced subgraphs of the
+    extension graph; so a copy that misses the new vertices is a copy in
+    the parent.  The family is breadth first, so the parent came earlier,
+    and by induction from the base patch, which is searched whole, every
+    copy in it is already among the image sets met.
+
+    The search reads each patch in insertion order: it only has to find
+    each image set once.  The report keeps one record per decomposing copy
+    (`_Decompositions`), and the embeddings and their order are computed
+    when the decompositions are read.  Each patch's new embeddings are
+    ordered on their images in search order, each ranked as in
+    `Patch.search_view` (`_report_order`), which is the order
+    `find_induced_embeddings` enumerates them in on `to_simplicial`; so
+    the report is that of decomposing every embedding of every patch in
+    turn.  A certificate is built for each new copy, to be verified and
+    decomposed, and for each failure, in report order."""
     _require_atomic(g)
-    family = patches.doubling_family(g, depth)
+    family, parent_sizes = patches._doubling_family(g, depth)
     auts = graphs.automorphisms(g)
     plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, auts))
     order = plan.order
-    # per rho: rho^-1 in search order, and rho as a decomposition's automorphism
-    inverses = [{w: v for v, w in rho.items()} for rho in auts]
-    expansion = [(tuple(inv[u] for u in order), tuple(sorted(rho.items())))
-                 for inv, rho in zip(inverses, auts)]
+    radius = graphs.diameter(g)
+    position = {v: i for i, v in enumerate(g.vertices)}
+    # per rho: rho^-1 of the search order as positions, and rho as an automorphism
+    expansion = []
+    for rho in auts:
+        inverse = {w: v for v, w in rho.items()}
+        expansion.append((tuple(position[inverse[u]] for u in order),
+                          tuple(sorted(rho.items()))))
     seen = set()
-    decs, fails = [], []
+    batches, fails = [], []
     found = 0
-    for p in family:
-        cgs, copies = _patch_copies(plan, p)
-
-        def certificate(key):
-            return embeddings.EmbeddingCertificate(
-                g, p.graph, tuple(sorted(zip(order, (cgs[k] for k in key)))), p.provenance)
-
-        new = []    # (codomain indices in search order, Decomposition or None)
+    for p, parent_n in zip(family, parent_sizes):
+        cgs, copies = _patch_copies(plan, p, parent_n, radius)
+        batch, failed = [], []
         for copy in copies:
-            images = frozenset(cgs[k] for k in copy)
-            if images in seen:
+            images = [cgs[k] for k in copy]
+            key = frozenset(images)
+            if key in seen:
                 continue
-            seen.add(images)
-            cert = certificate(copy)
+            seen.add(key)
+            cert = embeddings.EmbeddingCertificate(
+                g, p.graph, tuple(sorted(zip(order, images))), p.provenance)
             if not embeddings.verify_certificate(cert):
                 raise RigidityError("patch produced an unverifiable embedding")
             dec = decompose_embedding(cert)
-            m = dict(zip(order, copy))
+            m = dict(zip(order, images))
             if dec is None:
-                new.extend((tuple(m[u] for u in inv), None) for inv, _ in expansion)
+                failed.append((tuple(m[v] for v in g.vertices), None))
             else:
-                c = {v: m[u] for v, u in dec.automorphism}
-                new.extend((tuple(c[u] for u in inv), Decomposition(dec.conjugator, rho))
-                           for inv, rho in expansion)
-        new.sort(key=lambda item: item[0])
-        found += len(new)
-        for key, dec in new:
-            if dec is not None:
-                decs.append(dec)
-            else:
-                fails.append(certificate(key))
-    return RigidityReport(g, depth, len(family), found, tuple(decs), tuple(fails))
+                batch.append((tuple(m[u] for _, u in dec.automorphism), dec.conjugator))
+        found += (len(batch) + len(failed)) * len(expansion)
+        if batch:
+            batches.append(batch)
+        for (c, _), perm, _ in _report_order(failed, expansion):
+            fails.append(embeddings.EmbeddingCertificate(
+                g, p.graph, tuple(sorted(zip(order, [c[i] for i in perm]))), p.provenance))
+    return RigidityReport(g, depth, len(family), found,
+                          _Decompositions(batches, expansion), tuple(fails))

@@ -36,11 +36,7 @@ class GroupWord:
     letters: tuple
 
     def __post_init__(self):
-        for gen, sign in self.letters:
-            if gen not in self.graph:
-                raise WordError(f"unknown generator {gen!r}")
-            if sign not in (1, -1):
-                raise WordError(f"bad sign {sign!r}")
+        check_letters(self.graph, self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -52,6 +48,16 @@ class GroupWord:
 
     def inverse(self):
         return GroupWord(self.graph, inverse_letters(self.letters))
+
+
+def check_letters(g: SimplicialGraph, letters):
+    """WordError at the first letter with a generator outside g or a sign
+    other than +1 and -1."""
+    for gen, sign in letters:
+        if gen not in g:
+            raise WordError(f"unknown generator {gen!r}")
+        if sign not in (1, -1):
+            raise WordError(f"bad sign {sign!r}")
 
 
 def inverse_letters(letters) -> tuple:
@@ -203,6 +209,20 @@ def _coset_strip(g, base, letters):
         out.append((gen, sign))
         kept.add(gen)
     return out
+
+
+def _coset_keeps(g, base, letters):
+    """Whether the coset strip of C(base)·w, w the reduced `letters`,
+    deletes none of them: no letter of star(base) shuffles to the front.
+    Letters in normal form pass exactly when they are the canonical word
+    of their coset, since shuffling a normal form gives it back."""
+    stars = g.stars
+    st, kept = stars[base], set()
+    for gen, _ in letters:
+        if gen in st and kept <= stars[gen]:
+            return False
+        kept.add(gen)
+    return True
 
 
 @lru_cache(maxsize=COSET_CACHE_SIZE)

@@ -288,6 +288,26 @@ def is_triangle_built_reference(g):
     return True
 
 
+def is_atomic_reference(g):
+    """`graphs.is_atomic` before it tested the closed stars on neighbour
+    masks, kept verbatim: one induced subgraph per vertex."""
+    if not graphs.is_connected(g):
+        return False, graphs.AtomicViolation("disconnected", ())
+    for v in g.vertices:
+        if graphs.degree(g, v) < 2:
+            return False, graphs.AtomicViolation("valence1", (v,))
+    gr = graphs.girth(g)
+    if gr is not None and gr < 5:
+        return False, graphs.AtomicViolation("girth", (gr,))
+    for v in g.vertices:
+        rest = set(g.vertices) - graphs.star(g, v)
+        if not rest:
+            return False, graphs.AtomicViolation("star_exhausts", (v,))
+        if not graphs.is_connected(graphs.induced_subgraph(g, rest)):
+            return False, graphs.AtomicViolation("separating_star", (v,))
+    return True, None
+
+
 def complement(g) -> graphs.SimplicialGraph:
     """The complement graph, which the reference shape verdict reads its
     join parts from."""
@@ -639,6 +659,33 @@ def decompose_oracle(cert, radius):
                     words.normal_form(cand).letters,
                     tuple(sorted(sigma.items())))
     return None
+
+
+def _join_reference(g, j, w):
+    """`rigidity._join` before it ran on letters, kept verbatim."""
+    out = words._reduce(g, j + words.inverse_letters(w))
+    cancelled = (len(j) + len(w) - len(out)) // 2
+    rest = tuple(out[:len(j) - cancelled])
+    return words.normal_form(GroupWord(g, rest + w)).letters
+
+
+def decompose_embedding_reference(cert):
+    """`rigidity.decompose_embedding` before it ran on letters, kept
+    verbatim: each join and coset check goes through `GroupWord`, which
+    meets malformed letters where they are used."""
+    sigma = rigidity._base_map(cert)
+    if sigma is None:
+        return None
+    g = cert.codomain
+    m = cert.as_dict()
+    conj = ()
+    for v in g.vertices:
+        conj = _join_reference(g, conj, m[sigma[v]].conj)
+    cand = GroupWord(g, conj)
+    if any(words.coset_canonical(v, cand).letters != m[sigma[v]].conj
+           for v in g.vertices):
+        return None
+    return rigidity.Decomposition(conj, tuple(sorted(sigma.items())))
 
 
 def rigidity_experiment_reference(g, depth):

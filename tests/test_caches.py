@@ -47,8 +47,8 @@ def test_every_cache_is_bounded_by_a_module_constant():
                 maxsize = obj.cache_parameters()["maxsize"]
                 assert maxsize in sizes.values(), f"{mod.__name__}.{name}"
                 caches += 1
-    # words 2, patches 2, embeddings 2, ntrees 7, bisim 1, classify 1
-    assert caches == 15
+    # words 2, patches 2, embeddings 3, ntrees 7, bisim 1, classify 1
+    assert caches == 16
 
 
 def test_guard_flags_an_unbounded_cache():

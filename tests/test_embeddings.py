@@ -94,15 +94,31 @@ def _changed(cert, **images):
                                 tuple(sorted(m.items())), cert.provenance)
 
 
+def _malformed(cod, a):
+    """Images on a's base whose conjugators are not canonical or not words
+    of `cod`: a non-reduced one, one with a strippable star letter in
+    front, one ending in a commuting pair out of lexicographic order, one
+    with a bad sign and one with an unknown generator."""
+    base, conj = a.base, a.conj
+    first = cod.vertices[0]
+    out = [conj + ((first, 1), (first, -1)), ((first, 2),) + conj, (("nowhere", 1),) + conj]
+    out += [((x, 1),) + conj for x in sorted(graphs.link(cod, base))[:1]]
+    out += [conj + ((y, 1), (x, 1)) for x, y in sorted(map(sorted, cod.edges))[:1]]
+    return [ConjugateGenerator(base, c) for c in out]
+
+
 def _tampered(cert):
     """For each pair u < v of domain vertices: their images swapped, v's
-    image repeated at u, and u sent to another conjugate on v's base; and
-    for each u, a non-canonical conjugator for the same element."""
+    image repeated at u, u sent to another conjugate on v's base, and the
+    malformed images of `_malformed` at u and at v together, one of them
+    non-canonical; and for each u, a non-canonical conjugator for the same
+    element, and each malformed image of u's."""
     cod, m = cert.codomain, cert.as_dict()
     out = []
     for i, u in enumerate(cert.domain.vertices):
         a = m[u]
         out.append(_changed(cert, **{u: ConjugateGenerator(a.base, ((a.base, 1),) + a.conj)}))
+        out += [_changed(cert, **{u: bad}) for bad in _malformed(cod, a)]
         for v in cert.domain.vertices[i + 1:]:
             b = m[v]
             out.append(_changed(cert, **{u: b, v: a}))
@@ -111,7 +127,18 @@ def _tampered(cert):
             if away:
                 conj = b.conj_word(cod) * words.word(cod, away[0])
                 out.append(_changed(cert, **{u: patches.conjugate_generator(cod, b.base, conj)}))
+            bad_a, bad_b = _malformed(cod, a), _malformed(cod, b)
+            out.append(_changed(cert, **{u: bad_a[0], v: bad_b[2]}))
+            out.append(_changed(cert, **{u: bad_a[2], v: bad_b[0]}))
     return out
+
+
+def outcome(f, cert):
+    """f(cert), or the type of the exception it raises."""
+    try:
+        return f(cert)
+    except Exception as e:
+        return type(e)
 
 
 def test_one_pass_verifier_matches_the_all_pairs_reference(rng, c5, wedge, path4):
@@ -122,9 +149,9 @@ def test_one_pass_verifier_matches_the_all_pairs_reference(rng, c5, wedge, path4
         assert embeddings.verify_certificate(cert)
         assert verify_certificate_reference(cert)
         for bad in _tampered(cert):
-            want = verify_certificate_reference(bad)
-            assert embeddings.verify_certificate.__wrapped__(bad) == want, bad
-            assert embeddings.verify_certificate(bad) == want, bad
+            want = outcome(verify_certificate_reference, bad)
+            assert outcome(embeddings.verify_certificate.__wrapped__, bad) == want, bad
+            assert outcome(embeddings.verify_certificate, bad) == want, bad
             verdicts.add(want)
         u = cert.domain.vertices[0]
         unknown = _changed(cert, **{u: ConjugateGenerator("nowhere", ())})
@@ -132,7 +159,7 @@ def test_one_pass_verifier_matches_the_all_pairs_reference(rng, c5, wedge, path4
             verify_certificate_reference(unknown)
         with pytest.raises(patches.PatchError):
             embeddings.verify_certificate(unknown)
-    assert verdicts == {True, False}
+    assert verdicts == {True, False, words.WordError}
 
 
 def test_cached_verdict_does_not_mask_a_tampered_certificate(c5):
@@ -193,6 +220,31 @@ def test_doubling_levels_follow_the_vertex_budget(c5, monkeypatch):
     assert levels() == [1, 5, 30, 285]
     cert = embeddings.search_embedding(path(7), c5, budget)
     assert cert is not None and len(cert.provenance) == 2
+
+
+def test_balls_are_kept_per_codomain(monkeypatch):
+    """C4 and K3 are in no patch of ext(C5) up to depth 1, so both
+    searches fall back to the radius-1 ball.  The first builds it, and the
+    second, into the same codomain, builds none.  A budget too small for
+    the ball ends the fallback; the refusal is not kept."""
+    c5 = cycle(5, prefix="b")
+    built = []
+    ball_patch = patches.ball_patch
+
+    def counting_ball_patch(g, radius):
+        built.append((g, radius))
+        return ball_patch(g, radius)
+
+    monkeypatch.setattr(patches, "ball_patch", counting_ball_patch)
+    budget = SearchBudget(max_depth=1)
+    assert embeddings.search_embedding(cycle(4), c5, budget) is None
+    assert built == [(c5, 1)]
+    assert embeddings.search_embedding(clique(3), c5, budget) is None
+    assert built == [(c5, 1)]
+    monkeypatch.setenv("PCQI_BUDGET_VERTICES", "12")
+    for _ in range(2):
+        assert embeddings.search_embedding(cycle(4), c5, budget) is None
+    assert built == [(c5, 1)] * 3
 
 
 def test_patch_certificates_match_the_named_graph_route(rng, c5, petersen, path4):

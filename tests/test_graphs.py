@@ -12,7 +12,7 @@ from conftest import (all_trees, clique, cycle, edgeless, path, predicate_inputs
                       random_graph, star)
 from oracles import (classify_shape_reference, complement, diameter_reference,
                      embeddings_oracle, find_induced_embeddings_reference,
-                     girth_reference, is_triangle_built_reference)
+                     girth_reference, is_atomic_reference, is_triangle_built_reference)
 from test_acceptance import random_tree
 
 
@@ -223,6 +223,39 @@ def test_atomic(c5, petersen):
     from pcqi.classify import wedge_of_c5s
     ok, why = graphs.is_atomic(wedge_of_c5s())
     assert not ok and why.condition == "separating_star"
+
+
+def _subdivided(h, rng):
+    """h with each edge subdivided once or twice, at random: girth at least
+    six, and every vertex of h keeps its degree."""
+    edges = []
+    for k, (a, b) in enumerate(sorted(map(sorted, h.edges))):
+        inner = [f"s{k}_{i}" for i in range(rng.randint(1, 2))]
+        chain = [a] + inner + [b]
+        edges += list(zip(chain, chain[1:]))
+    return graphs.graph({v for e in edges for v in e}, edges)
+
+
+def test_is_atomic_matches_reference(rng, c5, petersen, wedge):
+    """The mask test of the closed stars gives the verdict and the first
+    violation of the induced-subgraph test: on the fixtures, on random
+    graphs, and on subdivisions of random graphs of minimum degree two,
+    which pass the degree and girth tests and so reach the stars."""
+    fixtures = [c5, petersen, wedge, cycle(4), path(4), star(3), clique(1),
+                graphs.graph("abcd", [("a", "b"), ("c", "d")])]
+    fixtures += [cycle(n) for n in range(5, 10)]
+    randoms = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(500)]
+    subdivisions = []
+    while len(subdivisions) < 300:
+        h = random_graph(rng.randint(3, 8), rng.uniform(0.3, 0.9), rng)
+        if graphs.is_connected(h) and all(graphs.degree(h, v) >= 2 for v in h.vertices):
+            subdivisions.append(_subdivided(h, rng))
+    seen = set()
+    for g in fixtures + randoms + subdivisions:
+        got = graphs.is_atomic(g)
+        assert got == is_atomic_reference(g), (g.vertices, g.edges)
+        seen.add(got[1].condition if got[1] else "atomic")
+    assert seen == {"atomic", "disconnected", "valence1", "girth", "separating_star"}
 
 
 def test_embedding_search_matches_oracle(rng):

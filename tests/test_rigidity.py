@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx as nx
@@ -10,8 +11,9 @@ from pcqi.words import GroupWord
 
 import oracles
 from conftest import cycle, path, random_graph, star
-from oracles import (decompose_oracle, rigidity_experiment_reference,
-                     spanning_trees_oracle)
+from oracles import (decompose_embedding_reference, decompose_oracle,
+                     rigidity_experiment_reference, spanning_trees_oracle)
+from test_embeddings import _tampered, outcome
 
 
 def test_spanning_trees_match_oracle(c5, petersen):
@@ -271,6 +273,22 @@ def test_decompose_recovers_random_conjugations(c5, petersen):
             assert dict(dec.automorphism) == sigma
 
 
+def test_decompose_on_letters_matches_the_word_route(c5, petersen):
+    """On found certificates and on tampered copies of them, malformed
+    conjugators included, `decompose_embedding` gives the decomposition,
+    None, or the type of exception of the version that ran every join and
+    coset check through `GroupWord`."""
+    outcomes = set()
+    for g, depth in ((c5, 1), (cycle(6), 1), (petersen, 0)):
+        for cert in _certificates(g, depth)[:12]:
+            assert rigidity.decompose_embedding(cert) == decompose_embedding_reference(cert)
+            for bad in _tampered(cert):
+                want = outcome(decompose_embedding_reference, bad)
+                assert outcome(rigidity.decompose_embedding, bad) == want, bad
+                outcomes.add(want if isinstance(want, type) else want is None)
+    assert outcomes == {True, KeyError, words.WordError}
+
+
 def test_decompose_long_conjugator_beyond_radius(c5):
     """A conjugator outside the radius-3 centralizer ball of v1: the
     ball search misses it, the solved decomposition recovers it."""
@@ -352,8 +370,8 @@ def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
 
     genuine_copies = rigidity._patch_copies
 
-    def with_shuffled_copy(plan, p):
-        cgs, copies = genuine_copies(plan, p)
+    def with_shuffled_copy(plan, p, *cut):
+        cgs, copies = genuine_copies(plan, p, *cut)
         images = shuffled(plan.order, [cgs[k] for k in copies[0]])
         return cgs, [tuple(cgs.index(cg) for cg in images)] + copies[1:]
 
@@ -373,16 +391,27 @@ def test_experiment_verifies_non_automorphic_copy(c5, monkeypatch):
             experiment(c5, 0)
 
 
-def test_patch_copies_skip_a_patch_that_cannot_hold_the_domain(petersen):
+def test_patch_copies_skip_a_patch_that_cannot_hold_the_domain(petersen, monkeypatch):
     """Petersen's ten vertices of degree 3 do not fit in a patch of ext(C5)
-    at depth 1, so its copies there are none and the patch gets no search
-    view; C5 itself fits, and is searched."""
+    at depth 1, so its copies there are none and the patch is not searched;
+    C5 itself fits, and is searched.  Neither builds a search view: the
+    copy search reads the carried masks."""
+    searched = []
+    search = graphs._embedding_search
+
+    def counting_search(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_embedding_search", counting_search)
     c5 = cycle(5, prefix="y")
     for g, fits in ((petersen, False), (c5, True)):
         plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, graphs.automorphisms(g)))
         for p in patches.doubling_family(c5, 1):
+            searched.clear()
             cgs, copies = rigidity._patch_copies(plan, p)
-            assert ("search_view" in vars(p)) == fits == bool(copies)
+            assert bool(searched) == fits == bool(copies)
+            assert "search_view" not in vars(p)
             if not fits:
                 assert cgs == ()
 
@@ -390,6 +419,37 @@ def test_patch_copies_skip_a_patch_that_cannot_hold_the_domain(petersen):
 def test_experiment_petersen_depth2_counts(petersen):
     rep = rigidity.rigidity_experiment(petersen, 2)
     assert (rep.patch_count, rep.embeddings_found, rep.failures) == (146, 17520, ())
+
+
+def test_experiment_petersen_depth3_counts(petersen):
+    """The report keeps one record per conjugate copy: 463,920 embeddings
+    come from 3,866 copies, each expanded by the 120 automorphisms."""
+    rep = rigidity.rigidity_experiment(petersen, 3)
+    assert (rep.patch_count, rep.embeddings_found, rep.failures) == (3386, 463920, ())
+    assert rep.decompositions.copy_count == 3866
+    assert len(rep.decompositions) == 463920
+
+
+def test_decompositions_read_as_the_tuple(c5):
+    """The stored decompositions have the length, items, order, equality
+    and hash of the reference's tuple, whichever side is compared."""
+    rep = rigidity.rigidity_experiment(c5, 2)
+    ref = rigidity_experiment_reference(c5, 2).decompositions
+    decs = rep.decompositions
+    assert type(ref) is tuple and type(decs) is not tuple
+    assert tuple(decs) == ref and len(decs) == len(ref) == 310
+    assert decs == ref and ref == decs and not decs != ref
+    assert hash(decs) == hash(ref)
+    assert [decs[i] for i in range(len(decs))] == list(ref)
+    assert [decs[i] for i in range(-1, -len(decs) - 1, -1)] == list(reversed(ref))
+    assert decs[3:40:7] == ref[3:40:7] and decs[::-1] == ref[::-1]
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            decs[i]
+    assert decs != list(ref) and decs != ref[:-1] and decs != ref[1:] + ref[:1]
+    assert rep == dataclasses.replace(rep, decompositions=ref)
+    assert hash(rep) == hash(dataclasses.replace(rep, decompositions=ref))
+    assert repr(decs) == repr(ref)
 
 
 @pytest.mark.parametrize("name,depth", [("c5", 2), ("petersen", 1)])
