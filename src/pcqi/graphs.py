@@ -474,8 +474,9 @@ def _embedding_search(plan, nbrs, limit=None, fits=None, new_from=0):
     whose k-th vertex has the neighbour mask nbrs[k], at most `limit` of
     them, as tuples of codomain indices in `plan.order`, in lexicographic
     order, found by forward-checking backtracking.  `fits` is the
-    codomain's `_fits(nbrs)`, built here unless the caller carries it.
-    When `new_from` is nonzero, only the embeddings that use a codomain
+    codomain's `_fits(nbrs)`, built here unless the caller carries it; a
+    caller that masks each of its sets to some vertices finds only the
+    embeddings among them.  When `new_from` is nonzero, only the embeddings that use a codomain
     vertex of index `new_from` or more are found.
 
     A codomain whose degree counts fail `_can_hold` has no embedding, and

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import embeddings, graphs, patches, words
 from .graphs import SimplicialGraph
-from .words import GroupWord
 
 
 class RigidityError(ValueError):
