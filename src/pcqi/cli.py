@@ -71,6 +71,8 @@ def cmd_nf(args):
 def cmd_patch(args):
     g = graphs.load_graph(args.graph)
     if args.ball is not None:
+        if args.double:
+            raise ValueError("--double cannot be combined with --ball")
         p = patches.ball_patch(g, args.ball)
     else:
         p = patches.base_patch(g)

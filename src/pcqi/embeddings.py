@@ -175,7 +175,8 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
     extension graph of `cod`, or None within the budget.
 
     Strategy: breadth-first iterative deepening over doubling sequences
-    (exponents kept fresh per center, small parents expanded first), then
+    (exponents kept fresh per center, small parents expanded first), up
+    to the first empty level, since every deeper level is empty too, then
     whole balls of growing radius as a fallback, up to the first one the
     budget refuses.  Both are kept per codomain.
     """
@@ -184,7 +185,10 @@ def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,
     vertex_budget = patches.vertex_budget()
     plan = graphs._domain_plan(dom)
     for level in range(budget.max_depth + 1):
-        for p in _doubling_level(cod, level, vertex_budget):
+        level_patches = _doubling_level(cod, level, vertex_budget)
+        if not level_patches:
+            break       # each level is built from the one before
+        for p in level_patches:
             for cert in _certificates(dom, plan, p, limit=1):
                 if verify_certificate(cert):
                     return cert

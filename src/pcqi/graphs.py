@@ -644,7 +644,10 @@ def from_json(text: str) -> SimplicialGraph:
 
 def from_dot(text: str) -> SimplicialGraph:
     """A minimal undirected DOT subset: `graph name { a -- b; c; }`."""
-    body = text[text.index("{") + 1:text.rindex("}")]
+    start, end = text.find("{"), text.rfind("}")
+    if start < 0 or end < start:
+        raise GraphError("DOT input has no { ... } body")
+    body = text[start + 1:end]
     verts, edges = [], []
     for stmt in body.replace("\n", ";").split(";"):
         stmt = stmt.strip()

@@ -1,7 +1,6 @@
-"""Atomic-graph rigidity: marked cycles from a minimal maximal subtree,
-complexity tuples with the component order, and the desk-scale experiment
-checking that every embedding of an atomic graph into its own extension
-graph is a conjugation composed with a graph automorphism.
+"""Atomic-graph rigidity at desk scale: the experiment checking that every
+embedding of an atomic graph into its own extension graph is a
+conjugation composed with a graph automorphism.
 """
 
 from __future__ import annotations
@@ -19,128 +18,6 @@ from .graphs import SimplicialGraph
 class RigidityError(ValueError):
     pass
 
-
-def _require_atomic(g):
-    ok, why = graphs.is_atomic(g)
-    if not ok:
-        raise RigidityError(f"input is not atomic: {why}")
-
-
-# ---------------------------------------------------------------------------
-# marked cycles
-
-def spanning_trees(g: SimplicialGraph):
-    """All spanning trees, as frozensets of edges.  Exhaustive; fine for
-    the fixture sizes this module targets (|E| <= 18 or so)."""
-    edges = sorted(g.edges, key=sorted)
-    need = g.n - 1
-    out = []
-    for combo in itertools.combinations(edges, need):
-        t = SimplicialGraph(g.vertices, frozenset(combo))
-        if graphs.is_connected(t):
-            out.append(frozenset(combo))
-    return out
-
-
-def _tree_path(tree_edges, u, v):
-    """The path from u to v in the tree: each step goes to the one neighbour
-    one step closer to v."""
-    adj = {}
-    for a, b in tree_edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    dist = graphs._bfs_dist(adj, v)
-    path = [u]
-    while path[-1] != v:
-        path.append(min(adj[path[-1]], key=dist.__getitem__))
-    return path
-
-
-def fundamental_cycle(tree_edges, edge):
-    """The cycle closed by adding `edge` to the tree, as a frozenset of
-    edges (its core: the tree path plus the edge)."""
-    u, v = sorted(edge)
-    path = _tree_path(tree_edges, u, v)
-    cyc = {frozenset(p) for p in zip(path, path[1:])}
-    cyc.add(frozenset(edge))
-    return frozenset(cyc)
-
-
-@dataclass(frozen=True)
-class MarkedCycleSet:
-    graph: SimplicialGraph
-    tree: frozenset             # edges of the chosen maximal subtree
-    excluded: tuple             # edges outside the tree, sorted
-    cycles: tuple               # frozensets of edges, aligned with excluded
-    lengths: tuple              # sorted ascending; minimal over subtrees
-
-
-def minimal_marked_cycles(g: SimplicialGraph) -> MarkedCycleSet:
-    """Exhaustive minimization of the sorted cycle-length tuple over all
-    maximal subtrees; ties broken by the canonical edge-list encoding."""
-    _require_atomic(g)
-    best = None
-    for t in spanning_trees(g):
-        excluded = sorted((e for e in g.edges if e not in t), key=sorted)
-        cycles = tuple(fundamental_cycle(t, e) for e in excluded)
-        lengths = tuple(sorted(len(c) for c in cycles))
-        key = (lengths, tuple(sorted(sorted(e) for e in t)))
-        if best is None or key < best[0]:
-            best = (key, t, tuple(excluded), cycles, lengths)
-    _, t, excluded, cycles, lengths = best
-    return MarkedCycleSet(g, t, excluded, cycles, lengths)
-
-
-def cycle_complexity(c: frozenset, s, marked: MarkedCycleSet) -> tuple:
-    """(r_5, ..., r_M): per length, how many cycles of the component `s`
-    share an edge with c.  The count is inclusive: c shares every edge
-    with itself."""
-    cycles = set(s)
-    if c not in cycles:
-        raise RigidityError("cycle does not belong to the component")
-    m = max(len(x) for x in marked.cycles)
-    counts = {l: 0 for l in range(5, m + 1)}
-    for other in cycles:
-        if c & other:
-            counts[len(other)] += 1
-    return tuple(counts[l] for l in range(5, m + 1))
-
-
-def components(marked: MarkedCycleSet):
-    """All sets of marked cycles whose union is connected and free of cut
-    vertices."""
-    out = []
-    for r in range(1, len(marked.cycles) + 1):
-        for combo in itertools.combinations(marked.cycles, r):
-            union_edges = frozenset().union(*combo)
-            vs = {v for e in union_edges for v in e}
-            sub = SimplicialGraph(tuple(sorted(vs)), union_edges)
-            if not graphs.is_connected(sub):
-                continue
-            if any(not graphs.is_connected(
-                       graphs.induced_subgraph(sub, vs - {v}))
-                   for v in vs) and len(vs) > 1:
-                continue
-            out.append(frozenset(combo))
-    return out
-
-
-def component_signature(s, marked: MarkedCycleSet) -> tuple:
-    """Counts of cycles per (length ascending, complexity descending)."""
-    keyed = [(len(c), cycle_complexity(c, s, marked)) for c in sorted(s, key=sorted)]
-    order = sorted(set(keyed), key=lambda k: (k[0], tuple(-x for x in k[1])))
-    return tuple((l, comp, keyed.count((l, comp))) for l, comp in order)
-
-
-def component_compare(s1, s2, marked: MarkedCycleSet) -> int:
-    """-1, 0 or 1 comparing component signatures lexicographically; equal
-    signatures do not imply equal subgraphs."""
-    a, b = component_signature(s1, marked), component_signature(s2, marked)
-    return (a > b) - (a < b)
-
-
-# ---------------------------------------------------------------------------
-# the rigidity experiment
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -407,7 +284,9 @@ def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:
     the report is that of decomposing every embedding of every patch in
     turn.  A certificate is built for each new copy, to be verified and
     decomposed, and for each failure, in report order."""
-    _require_atomic(g)
+    ok, why = graphs.is_atomic(g)
+    if not ok:
+        raise RigidityError(f"input is not atomic: {why}")
     family, parent_sizes = patches._doubling_family(g, depth)
     auts = graphs.automorphisms(g)
     plan = graphs._domain_plan(g, graphs._symmetry_conditions(g, auts))

@@ -598,24 +598,6 @@ def bisimilar_up_to_pcolor_permutation_reference(a, b, n):
 
 
 # ---------------------------------------------------------------------------
-# marked cycles: spanning trees by direct filtering
-
-def spanning_trees_oracle(g):
-    n = g.n
-    out = []
-    for combo in itertools.combinations(sorted(g.edges, key=sorted), n - 1):
-        vs = set()
-        for e in combo:
-            vs |= e
-        if len(vs) != n:
-            continue
-        sub = graphs.SimplicialGraph(g.vertices, frozenset(combo))
-        if graphs.is_connected(sub):
-            out.append(frozenset(combo))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # rigidity decomposition: enumerate automorphisms, scan a centralizer ball
 
 def _star_ball(g, base, radius):
@@ -691,7 +673,8 @@ def decompose_embedding_reference(cert):
 def rigidity_experiment_reference(g, depth):
     """The rigidity experiment with the word algebra run on every
     embedding: each certificate is verified and decomposed on its own."""
-    rigidity._require_atomic(g)
+    if not graphs.is_atomic(g)[0]:
+        raise rigidity.RigidityError("input is not atomic")
     family = patches.doubling_family(g, depth)
     seen_maps = set()
     decs, fails = [], []

@@ -69,6 +69,13 @@ def test_patch_bad_vertex(c5_file, capsys):
     assert code == 2
 
 
+def test_patch_ball_with_double_exits_2(c5_file, capsys):
+    code = cli.main(["patch", "--graph", c5_file, "--ball", "0", "--double", "v1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --double cannot be combined with --ball\n"
+
+
 def test_embed_found_and_exhausted(tmp_path, c5_file, capsys):
     wedge = tmp_path / "c4.json"
     wedge.write_text(graphs.to_json(cycle(4)))
@@ -221,6 +228,7 @@ def test_negative_depth_exits_2(c5_file, capsys, argv):
 BAD_GRAPHS = ['{"edges": []}', '[1, 2]', '{"vertices": "ab"}',
               '{"vertices": ["a", "b"], "edges": [["a"]]}',
               '{"vertices": ["a", 2]}']
+BAD_DOTS = ["graph G { a -- b", "graph G a -- b }", "graph G } a -- b {", "a -- b"]
 BAD_COLORED = ['{"vertices": ["a"], "edges": []}',
                '{"vertices": ["a"], "colors": ["p1"]}',
                '{"vertices": ["a"], "colors": {"a": [1]}}',
@@ -244,6 +252,13 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", BAD_DOTS)
+def test_malformed_dot_exits_2(tmp_path, capsys, text):
+    code, err = _malformed(tmp_path, capsys, text, ["rigidity", "--graph", "BAD"])
+    assert code == 2
+    assert err == "error: DOT input has no { ... } body\n"
 
 
 @pytest.mark.parametrize("text", BAD_COLORED)

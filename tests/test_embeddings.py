@@ -222,6 +222,21 @@ def test_doubling_levels_follow_the_vertex_budget(c5, monkeypatch):
     assert cert is not None and len(cert.provenance) == 2
 
 
+def test_search_stops_at_the_first_empty_level(monkeypatch):
+    """Each doubling level is built from the one before, so none past an
+    empty one is built.  Under a budget of 10 vertices the levels of ext(C5)
+    hold 1, 5, 5 and then 0 patches; a depth-200 search for K4 builds the
+    four levels to the first empty one, once each, and then tries the
+    balls."""
+    monkeypatch.setenv("PCQI_BUDGET_VERTICES", "10")
+    c5 = cycle(5, prefix="e")
+    before = embeddings._doubling_level.cache_info().misses
+    assert embeddings.search_embedding(clique(4), c5, SearchBudget(max_depth=200)) is None
+    built = embeddings._doubling_level.cache_info().misses - before
+    assert [len(embeddings._doubling_level(c5, l, 10)) for l in range(4)] == [1, 5, 5, 0]
+    assert built == 4
+
+
 def test_balls_are_kept_per_codomain(monkeypatch):
     """C4 and K3 are in no patch of ext(C5) up to depth 1, so both
     searches fall back to the radius-1 ball.  The first builds it, and the
