@@ -158,16 +158,8 @@ def minimal_quotient(cg: ColoredGraph):
 
 def colored_isomorphic(a: ColoredGraph, b: ColoredGraph):
     """A color-preserving isomorphism as a dict, or None."""
-    if a.graph.n != b.graph.n or len(a.graph.edges) != len(b.graph.edges):
-        return None
-    if sorted(a.colors.values()) != sorted(b.colors.values()):
-        return None
-    ca, cb = a.colors, b.colors
-    for emb in graphs.find_induced_embeddings(a.graph, b.graph):
-        m = emb.as_dict()
-        if all(ca[v] == cb[m[v]] for v in m):
-            return m
-    return None
+    found = graphs._isomorphisms(a.graph, b.graph, (a.colors, b.colors), 1)
+    return found[0] if found else None
 
 
 def _set_partitions(items):

@@ -159,14 +159,15 @@ def patch_certificates(dom: SimplicialGraph, p: Patch, limit=None):
 def _certificates(dom, plan, p, limit):
     """`patch_certificates` with the domain's search plan built already.
     A patch whose degree counts cannot hold the domain has none, and is
-    not given a `search_view`."""
+    not given a `search_view`; the search does not count them again."""
     if not graphs._can_hold(plan, p.degree_counts):
         return []
     cgs, nbrs, fits = p.search_view
+    found = graphs._embedding_search(plan, nbrs, limit, [fits[d] for d in plan.degrees])
     return [EmbeddingCertificate(
                 dom, p.graph, tuple(sorted(zip(plan.order, [cgs[k] for k in f]))),
                 p.provenance)
-            for f in graphs._embedding_search(plan, nbrs, limit, fits)]
+            for f in found]
 
 
 def search_embedding(dom: SimplicialGraph, cod: SimplicialGraph,

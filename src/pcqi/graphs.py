@@ -28,7 +28,9 @@ tests them before it names, sorts or permutes its vertices.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -137,51 +139,32 @@ def induced_subgraph(g, verts) -> SimplicialGraph:
 
 
 def connected_components(g):
-    seen, comps = set(), []
-    for v in g.vertices:
-        if v not in seen:
-            comp = frozenset(_bfs_dist(g.adjacency, v))
-            seen |= comp
-            comps.append(comp)
+    nbrs, comps, rest = _masks(g.vertices, g.edges), [], (1 << g.n) - 1
+    while rest:
+        comp = _reach(nbrs, rest & -rest)
+        rest ^= comp
+        comps.append(frozenset(v for k, v in enumerate(g.vertices) if comp >> k & 1))
     return comps
 
 
 def is_connected(g):
-    return g.n > 0 and len(_bfs_dist(g.adjacency, g.vertices[0])) == g.n
-
-
-def _bfs_dist(adj, source):
-    """The distance from `source` of each vertex it reaches, by breadth-first
-    search in `adj`, a map of each vertex to its neighbours."""
-    dist, level, d = {source: 0}, [source], 0
-    while level:
-        d += 1
-        nxt = []
-        for u in level:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        level = nxt
-    return dist
+    return g.n > 0 and _reach(_masks(g.vertices, g.edges), 1) == (1 << g.n) - 1
 
 
 def diameter(g):
     """Exact diameter, or None when g is disconnected or empty.
 
     A tree takes two BFS sweeps: in a tree the vertex farthest from any
-    vertex ends a longest path, so the eccentricity of that vertex is the
-    diameter.  Other graphs take the eccentricity of every vertex.
-    """
-    if g.n == 0 or not is_connected(g):
+    vertex ends a longest path, so the eccentricity of any vertex of the
+    first sweep's last level is the diameter.  Other graphs take the
+    eccentricity of every vertex."""
+    if not is_connected(g):
         return None
+    nbrs = _masks(g.vertices, g.edges)
     if len(g.edges) == g.n - 1:
-        far = _bfs_dist(g.adjacency, g.vertices[0])
-        return max(_bfs_dist(g.adjacency, max(far, key=far.get)).values())
-    best = 0
-    for v in g.vertices:
-        best = max(best, max(_bfs_dist(g.adjacency, v).values()))
-    return best
+        *_, last = _levels(nbrs, 1)
+        return sum(1 for _ in _levels(nbrs, last & -last)) - 1
+    return max(sum(1 for _ in _levels(nbrs, 1 << k)) for k in range(g.n)) - 1
 
 
 def girth(g):
@@ -366,14 +349,13 @@ def is_atomic(g):
     return True, None
 
 
-def _reach(nbrs, start, within=-1, steps=-1):
-    """The vertices that a breadth-first search under the neighbour masks
-    `nbrs` reaches from the bit mask `start` in at most `steps` steps, or
-    in any number when `steps` is negative, moving only inside the bit
-    mask `within`."""
+def _levels(nbrs, start, within=-1):
+    """The levels of a breadth-first search under the neighbour masks
+    `nbrs` from the bit mask `start`, inside the bit mask `within`: `start`
+    first, then the vertices first reached at each distance, as bit masks."""
     reached = level = start
-    while level and steps:
-        steps -= 1
+    while level:
+        yield level
         nxt = 0
         while level:
             low = level & -level
@@ -381,7 +363,15 @@ def _reach(nbrs, start, within=-1, steps=-1):
             nxt |= nbrs[low.bit_length() - 1]
         level = nxt & within & ~reached
         reached |= level
-    return reached
+
+
+def _reach(nbrs, start, within=-1, steps=-1):
+    """The vertices that a breadth-first search under the neighbour masks
+    `nbrs` reaches from the bit mask `start` in at most `steps` steps, or
+    in any number when `steps` is negative, moving only inside the bit
+    mask `within`.  The levels are disjoint, so their sum is their union."""
+    levels = _levels(nbrs, start, within)
+    return sum(levels if steps < 0 else itertools.islice(levels, steps + 1))
 
 
 @dataclass(frozen=True)
@@ -469,24 +459,23 @@ def _can_hold(plan, counts):
     return True
 
 
-def _embedding_search(plan, nbrs, limit=None, fits=None, new_from=0):
+def _embedding_search(plan, nbrs, limit=None, cands=None, new_from=0):
     """The induced embeddings of the domain of `plan` into the codomain
     whose k-th vertex has the neighbour mask nbrs[k], at most `limit` of
     them, as tuples of codomain indices in `plan.order`, in lexicographic
-    order, found by forward-checking backtracking.  `fits` is the
-    codomain's `_fits(nbrs)`, built here unless the caller carries it; a
-    caller that masks each of its sets to some vertices finds only the
-    embeddings among them.  When `new_from` is nonzero, only the embeddings that use a codomain
+    order, found by forward-checking backtracking.  `cands`, one bit mask
+    over the codomain per plan position, holds the images tried for each
+    domain vertex; a caller that passes them has counted degrees itself.
+    When `new_from` is nonzero, only the embeddings that use a codomain
     vertex of index `new_from` or more are found.
 
-    A codomain whose degree counts fail `_can_hold` has no embedding, and
-    is not searched.  Otherwise the images of each domain vertex are tried
-    in codomain index order.  Every unmatched domain vertex keeps a
-    candidate set, a bit mask over the codomain vertices, that starts as
-    the vertices of at least its degree.  Mapping v -> c narrows the set of
-    each later vertex to the neighbours of c if it is a neighbour of v, and
-    to the non-neighbours of c otherwise, and removes c; a branch stops as
-    soon as a set is empty.  The count and both filters remove only maps
+    Without `cands`, a codomain whose degree counts fail `_can_hold` has no
+    embedding, and is not searched; each domain vertex then starts with the
+    vertices of at least its degree.  The images of each domain vertex are
+    tried in codomain index order.  Mapping v -> c narrows the candidate set
+    of each later vertex to the neighbours of c if it is a neighbour of v,
+    and to the non-neighbours of c otherwise, and removes c; a branch stops
+    as soon as a set is empty.  The count and both filters remove only maps
     with no completion, so the embeddings come out in the same order as a
     search that tries every codomain vertex and checks each mapped pair,
     for every `limit`.
@@ -497,11 +486,13 @@ def _embedding_search(plan, nbrs, limit=None, fits=None, new_from=0):
     `new_from` or more, a branch also stops as soon as no candidate set has
     one, which removes only the embeddings that have none.
     """
-    if fits is None:
-        fits = _fits(nbrs)
-    if (limit is not None and limit <= 0
-            or not _can_hold(plan, [m.bit_count() for m in fits])):
+    if limit is not None and limit <= 0:
         return []
+    if cands is None:
+        fits = _fits(nbrs)
+        if not _can_hold(plan, [m.bit_count() for m in fits]):
+            return []
+        cands = [fits[d] for d in plan.degrees]
     order, later, cuts = plan.order, plan.later, plan.cuts
     image = [None] * len(order)
     out = []
@@ -539,8 +530,7 @@ def _embedding_search(plan, nbrs, limit=None, fits=None, new_from=0):
                         return True
         return False
 
-    # every domain degree passed `_can_hold`, so every set is nonempty
-    extend(0, [fits[d] for d in plan.degrees], 1 << new_from if new_from else 0)
+    extend(0, cands, 1 << new_from if new_from else 0)
     return out
 
 
@@ -581,20 +571,36 @@ def _symmetry_conditions(g, auts):
     return conditions
 
 
+def _isomorphisms(g, h, colours=None, limit=None):
+    """At most `limit` isomorphisms g -> h, keeping `colours` (a map of
+    each graph's vertices to colours) if given, as dicts keyed in vertex
+    order, in `find_induced_embeddings` order.  An isomorphism keeps each
+    vertex's (colour, degree), so g and h need equal counts of each, and a
+    vertex of g is searched only among the vertices of h of its class."""
+    colour_g, colour_h = colours or ({}, {})
+    key_g = [(colour_g.get(v), len(g.adjacency[v])) for v in g.vertices]
+    key_h = [(colour_h.get(v), len(h.adjacency[v])) for v in h.vertices]
+    if sorted(key_g) != sorted(key_h):
+        return []
+    seeds = {}
+    for k, c in enumerate(key_h):
+        seeds[c] = seeds.get(c, 0) | 1 << k
+    plan, names, key = _domain_plan(g), h.vertices, dict(zip(g.vertices, key_g))
+    return [dict(sorted(zip(plan.order, [names[k] for k in f])))
+            for f in _embedding_search(plan, _masks(h.vertices, h.edges), limit,
+                                       [seeds[key[v]] for v in plan.order])]
+
+
 def are_isomorphic(g, h):
     """A witness isomorphism as a dict, or None.  Exact for the desk
     scale this package targets (tens of vertices)."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return None
-    if sorted(degree(g, v) for v in g.vertices) != sorted(degree(h, v) for v in h.vertices):
-        return None
-    found = find_induced_embeddings(g, h, limit=1)
-    return found[0].as_dict() if found else None
+    found = _isomorphisms(g, h, limit=1)
+    return found[0] if found else None
 
 
 def automorphisms(g):
     """All automorphisms of g, as dicts."""
-    return [e.as_dict() for e in find_induced_embeddings(g, g)]
+    return _isomorphisms(g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -642,23 +648,26 @@ def from_json(text: str) -> SimplicialGraph:
     return graph(*graph_fields(json_object(text, ("vertices",))))
 
 
+_DOT_ID = r'"([^"]*)"|([\w.]+)'
+
+
 def from_dot(text: str) -> SimplicialGraph:
-    """A minimal undirected DOT subset: `graph name { a -- b; c; }`."""
+    """A minimal undirected DOT subset: `graph [name] { ... }` holding
+    statements `id` or `id -- id (-- id)*`, separated by `;` or newlines;
+    an id is a double-quoted string or a bare word (letters, digits, _ .)."""
     start, end = text.find("{"), text.rfind("}")
     if start < 0 or end < start:
         raise GraphError("DOT input has no { ... } body")
-    body = text[start + 1:end]
+    head = re.fullmatch(rf'\s*graph(\s+(?:{_DOT_ID}))?\s*', text[:start])
+    if not head or text[end + 1:].strip():
+        raise GraphError("DOT input is not of the form graph [name] { ... }")
     verts, edges = [], []
-    for stmt in body.replace("\n", ";").split(";"):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        if "--" in stmt:
-            chain = [t.strip().strip('"') for t in stmt.split("--")]
-            verts.extend(chain)
-            edges.extend(zip(chain, chain[1:]))
-        else:
-            verts.append(stmt.strip('"'))
+    for stmt in re.findall(r'(?:"[^"]*"|[^;\n])+', text[start + 1:end]):
+        if not re.fullmatch(rf'\s*(?:(?:{_DOT_ID})\s*(?:--\s*(?:{_DOT_ID})\s*)*)?', stmt):
+            raise GraphError(f"DOT statement is not id or id -- id: {stmt.strip()!r}")
+        chain = [quoted or bare for quoted, bare in re.findall(_DOT_ID, stmt)]
+        verts.extend(chain)
+        edges.extend(zip(chain, chain[1:]))
     return graph(verts, edges)
 
 

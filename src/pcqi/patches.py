@@ -42,7 +42,6 @@ DEFAULT_VERTEX_BUDGET = 5000
 
 # Cache bounds: a long-lived process keeps at most this many entries.
 COMMUTE_CACHE_SIZE = 1 << 17
-BALL_CACHE_SIZE = 256
 
 
 def vertex_budget():
@@ -414,7 +413,6 @@ def _doubling_family(g, depth):
     return family, parent_sizes
 
 
-@lru_cache(maxsize=BALL_CACHE_SIZE)
 def _ball_conjugators(g: SimplicialGraph, base: str, radius: int):
     """Canonical coset representatives for C(base) of length <= radius,
     grouped by length.  Level l+1 reps all arise from level-l reps extended

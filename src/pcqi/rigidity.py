@@ -215,8 +215,8 @@ def _patch_copies(plan, p: patches.Patch, new_from=0, radius=None):
     domain's search `plan`, one per image set, as tuples of indices into
     cgs in `plan.order`; when `new_from` is nonzero, only those that use a
     vertex at that index or later.  The search reads the carried `nbrs`, and
-    counts degrees on the candidate masks it starts from; a patch whose
-    counts cannot hold the domain has no copies, and cgs is then ().
+    degrees are counted once, on the candidate masks it starts from; a patch
+    whose counts cannot hold the domain has no copies, and cgs is then ().
 
     `radius`, when given, is the diameter of the domain, which is then
     connected.  A copy lies within that distance of each of its vertices,
@@ -224,12 +224,13 @@ def _patch_copies(plan, p: patches.Patch, new_from=0, radius=None):
     the vertices within that distance of one."""
     nbrs = p.nbrs
     fits = graphs._fits(nbrs)
-    if not graphs._can_hold(plan, [m.bit_count() for m in fits]):
-        return (), []
     if new_from and radius is not None:
         near = graphs._reach(nbrs, (1 << p.n) - (1 << new_from), steps=radius)
         fits = [m & near for m in fits]
-    return p.cg_vertices, graphs._embedding_search(plan, nbrs, fits=fits, new_from=new_from)
+    if not graphs._can_hold(plan, [m.bit_count() for m in fits]):
+        return (), []
+    cands = [fits[d] for d in plan.degrees]
+    return p.cg_vertices, graphs._embedding_search(plan, nbrs, cands=cands, new_from=new_from)
 
 
 def rigidity_experiment(g: SimplicialGraph, depth: int) -> RigidityReport:

@@ -65,16 +65,15 @@ def inverse_letters(letters) -> tuple:
 
 
 def word(g: SimplicialGraph, text: str = "", letters=None) -> GroupWord:
-    """Parse whitespace-separated tokens `a` / `a^-1` (also `a^3`)."""
+    """Parse whitespace-separated tokens `a` / `a^-1` (also `a^3`); the
+    generator of every token is checked, that of `a^0` too."""
     if letters is not None:
         return GroupWord(g, tuple(letters))
     out = []
     for tok in text.split():
-        if "^" in tok:
-            gen, exp = tok.split("^", 1)
-            k = int(exp)
-        else:
-            gen, k = tok, 1
+        gen, hat, exp = tok.partition("^")
+        k = int(exp) if hat else 1
+        check_letters(g, [(gen, 1)])
         out.extend([(gen, 1 if k > 0 else -1)] * abs(k))
     return GroupWord(g, tuple(out))
 

@@ -36,6 +36,33 @@ def random_graph(n, p, rng, prefix="r"):
     return graphs.graph(vs, es)
 
 
+def isomorphism_pairs(rng, count, palette=()):
+    """`count` random pairs (g, h, colours of g, colours of h) on 0-7
+    vertices, with every vertex coloured from `palette` when it is given.
+    About half are a graph and a relabelled copy with the colours carried
+    over, sometimes with one pair of vertices flipped between edge and
+    non-edge or one colour changed; the rest are drawn independently."""
+    for _ in range(count):
+        n = rng.randrange(8)
+        g = random_graph(n, rng.random(), rng, "g")
+        cg = {v: rng.choice(palette) for v in g.vertices} if palette else {}
+        if rng.random() < 0.5:
+            h = random_graph(rng.choice((n, rng.randrange(8))), rng.random(), rng, "h")
+            ch = {v: rng.choice(palette) for v in h.vertices} if palette else {}
+        else:
+            names = [f"h{k}" for k in range(n)]
+            rng.shuffle(names)
+            rename = dict(zip(g.vertices, names))
+            edges = {frozenset(rename[v] for v in e) for e in g.edges}
+            ch = {rename[v]: c for v, c in cg.items()}
+            if n >= 2 and rng.random() < 0.3:
+                edges ^= {frozenset(rng.sample(names, 2))}
+            if palette and n and rng.random() < 0.3:
+                ch[rng.choice(names)] = rng.choice(palette)
+            h = graphs.graph(names, [tuple(e) for e in edges])
+        yield g, h, cg, ch
+
+
 def labelled_graphs(max_n):
     """Every graph on the vertices v0..v{n-1}, for each n <= max_n."""
     for n in range(max_n + 1):

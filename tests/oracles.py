@@ -263,6 +263,52 @@ def girth_reference(g):
 
 
 # ---------------------------------------------------------------------------
+# isomorphism and bounded reach: the three isomorphism searches and the
+# breadth-first search on masks that `graphs._isomorphisms` and
+# `graphs._levels` replaced, kept verbatim
+
+def are_isomorphic_reference(g, h):
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return None
+    if (sorted(graphs.degree(g, v) for v in g.vertices)
+            != sorted(graphs.degree(h, v) for v in h.vertices)):
+        return None
+    found = graphs.find_induced_embeddings(g, h, limit=1)
+    return found[0].as_dict() if found else None
+
+
+def automorphisms_reference(g):
+    return [e.as_dict() for e in graphs.find_induced_embeddings(g, g)]
+
+
+def colored_isomorphic_reference(a, b):
+    if a.graph.n != b.graph.n or len(a.graph.edges) != len(b.graph.edges):
+        return None
+    if sorted(a.colors.values()) != sorted(b.colors.values()):
+        return None
+    ca, cb = a.colors, b.colors
+    for emb in graphs.find_induced_embeddings(a.graph, b.graph):
+        m = emb.as_dict()
+        if all(ca[v] == cb[m[v]] for v in m):
+            return m
+    return None
+
+
+def reach_reference(nbrs, start, within=-1, steps=-1):
+    reached = level = start
+    while level and steps:
+        steps -= 1
+        nxt = 0
+        while level:
+            low = level & -level
+            level ^= low
+            nxt |= nbrs[low.bit_length() - 1]
+        level = nxt & within & ~reached
+        reached |= level
+    return reached
+
+
+# ---------------------------------------------------------------------------
 # shape predicates: the 4-subset scan and the complement-based join test
 # that the universal-vertex recursion and the one-vertex join test
 # replaced, kept verbatim

@@ -5,10 +5,10 @@ import pytest
 
 from pcqi import bisim, graphs, ntrees
 
-from conftest import random_graph
+from conftest import isomorphism_pairs, random_graph
 from oracles import (_quotients_oracle, bisimilar_oracle, bisimilar_reference,
-                     bisimilar_up_to_pcolor_permutation_reference, generate_ntrees,
-                     joined_name_reference)
+                     bisimilar_up_to_pcolor_permutation_reference,
+                     colored_isomorphic_reference, generate_ntrees, joined_name_reference)
 from test_acceptance import random_tree
 
 
@@ -339,6 +339,25 @@ def test_minimal_quotient_commutes_with_recoloring(rng):
             assert bisim.minimal_quotient(bisim.recolor(cg, pi)) == (
                 bisim.recolor(q, pi), qmap)
             checked += 1
+
+
+def test_colored_isomorphic_matches_reference(rng):
+    """`colored_isomorphic`, one call of the seeded `graphs._isomorphisms`,
+    gives the result of its old enumerate-then-filter code on 2,000 random
+    coloured pairs, the witness keyed in the same order; `_isomorphisms`
+    lists the colour-keeping embeddings between graphs of one size, in the
+    plain search's order."""
+    found = differ = 0
+    for g, h, cg, ch in isomorphism_pairs(rng, 2000, ("p1", "p2", "f")):
+        a, b = bisim.colored_graph(g, cg), bisim.colored_graph(h, ch)
+        want, got = colored_isomorphic_reference(a, b), bisim.colored_isomorphic(a, b)
+        assert got == want and (got is None or list(got) == list(want))
+        every = [m for m in (e.as_dict() for e in graphs.find_induced_embeddings(g, h))
+                 if all(cg[v] == ch[m[v]] for v in m)] if g.n == h.n else []
+        assert graphs._isomorphisms(g, h, (a.colors, b.colors)) == every
+        found += want is not None
+        differ += sorted(cg.values()) != sorted(ch.values())
+    assert found >= 300 and differ >= 300
 
 
 def test_json_roundtrip():

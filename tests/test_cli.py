@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcqi import bisim, classify, cli, graphs, ntrees
+from pcqi import bisim, classify, cli, graphs, ntrees, patches
 
 from conftest import cycle, path
 
@@ -61,6 +61,32 @@ def test_patch_double_and_ball(c5_file, capsys):
 
     code, out = run(["patch", "--graph", c5_file, "--ball", "0"], capsys)
     assert code == 0 and len(json.loads(out)["vertices"]) == 5
+
+
+def test_nf_checks_the_generator_of_a_zero_exponent(path3_file, capsys):
+    """A token with exponent 0 is the identity, but its generator must
+    still be one of the graph's."""
+    code = cli.main(["nf", "--graph", path3_file, "--word", "zz^0 a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown generator 'zz'\n"
+    code, out = run(["nf", "--graph", path3_file, "--word", "a^0 b"], capsys)
+    assert code == 0 and json.loads(out)["normal_form"] == "b"
+
+
+def test_patch_dot_output_loads_back(tmp_path, c5_file, capsys):
+    """The DOT that `patch` prints quotes names that hold `^` and spaces,
+    and loads back as the patch's named graph."""
+    out = tmp_path / "p.dot"
+    code = cli.main(["patch", "--graph", c5_file, "--double", "v1", "--double", "v3^v1",
+                     "--format", "dot", "--out", str(out)])
+    assert code == 0
+    p = patches.double_along_star(patches.base_patch(cycle(5)),
+                                  patches.ConjugateGenerator("v1", ()), 1)
+    p = patches.double_along_star(p, patches.named_vertices(p)["v3^v1"], 1)
+    g = graphs.load_graph(out)
+    assert g == patches.to_simplicial(p)
+    assert any("^" in v and " " in v for v in g.vertices)
 
 
 def test_patch_bad_vertex(c5_file, capsys):
@@ -259,6 +285,18 @@ def test_malformed_dot_exits_2(tmp_path, capsys, text):
     code, err = _malformed(tmp_path, capsys, text, ["rigidity", "--graph", "BAD"])
     assert code == 2
     assert err == "error: DOT input has no { ... } body\n"
+
+
+@pytest.mark.parametrize("text", ["graph G { a -- ; }", "digraph G { a -> b }",
+                                  "graph G { a [label=x]; }"])
+def test_malformed_dot_statement_exits_2(tmp_path, capsys, text):
+    """A DOT statement that is not `id` or `id -- id (-- id)*`, or a
+    header other than `graph [name]`, is refused, not read as vertices."""
+    with pytest.raises(graphs.GraphError):
+        graphs.from_dot(text)
+    code, err = _malformed(tmp_path, capsys, text, ["predicates", "--graph", "BAD"])
+    assert code == 2
+    assert err.startswith("error: DOT ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", BAD_COLORED)

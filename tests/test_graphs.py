@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 
 import networkx as nx
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from pcqi import embeddings, graphs, patches
 
-from conftest import (all_trees, clique, cycle, edgeless, path, predicate_inputs,
-                      random_graph, star)
-from oracles import (classify_shape_reference, complement, diameter_reference,
+from conftest import (all_trees, clique, cycle, edgeless, isomorphism_pairs, path,
+                      predicate_inputs, random_graph, star)
+from oracles import (are_isomorphic_reference, automorphisms_reference,
+                     classify_shape_reference, complement, diameter_reference,
                      embeddings_oracle, find_induced_embeddings_reference,
-                     girth_reference, is_atomic_reference, is_triangle_built_reference)
+                     girth_reference, is_atomic_reference, is_triangle_built_reference,
+                     reach_reference)
 from test_acceptance import random_tree
 
 
@@ -374,6 +378,53 @@ def test_isomorphism(c5):
     assert graphs.are_isomorphic(c5, cycle(5, "w")) is not None
     assert graphs.are_isomorphic(c5, cycle(6)) is None
     assert graphs.are_isomorphic(path(4), star(3)) is None
+
+
+def test_isomorphisms_match_references(rng):
+    """`are_isomorphic` and `automorphisms`, each one call of the seeded
+    `_isomorphisms`, give the results of their old code on 2,000 random
+    pairs: the same first witness, keyed in the same order, and the same
+    automorphisms in the same order.  `_isomorphisms` lists every induced
+    embedding between graphs of one size, in the plain search's order, and
+    stops at `limit`."""
+    found = empty = disconnected = 0
+    for g, h, _, _ in isomorphism_pairs(rng, 2000):
+        want, got = are_isomorphic_reference(g, h), graphs.are_isomorphic(g, h)
+        assert got == want and (got is None or list(got) == list(want))
+        auts, want_auts = graphs.automorphisms(g), automorphisms_reference(g)
+        assert auts == want_auts and list(map(list, auts)) == list(map(list, want_auts))
+        every = ([e.as_dict() for e in graphs.find_induced_embeddings(g, h)]
+                 if g.n == h.n else [])
+        assert graphs._isomorphisms(g, h) == every
+        limit = rng.randrange(3)
+        assert graphs._isomorphisms(g, h, limit=limit) == every[:limit]
+        found += want is not None
+        empty += g.n == h.n == 0
+        disconnected += g.n > 1 and not graphs.is_connected(g)
+    assert found >= 400 and empty >= 20 and disconnected >= 400
+
+
+def test_levels_and_reach_match_reference(rng):
+    """`_levels` yields `start` and then each breadth-first level inside
+    `within`, disjoint and nonempty, and the union of its first s + 1
+    levels, like `_reach` with steps=s, is what the old bounded search
+    reached; `_reach` with negative steps reaches all of them."""
+    for _ in range(2000):
+        n = rng.randrange(12)
+        g = random_graph(n, rng.random() / 2, rng)
+        nbrs = graphs._masks(g.vertices, g.edges)
+        start = rng.choice((rng.getrandbits(n), 1 << rng.randrange(n) if n else 0))
+        within = rng.choice((-1, rng.getrandbits(n)))
+        levels = list(graphs._levels(nbrs, start, within))
+        assert all(levels) and levels[:1] == ([start] if start else [])
+        union = functools.reduce(operator.or_, levels, 0)
+        assert sum(m.bit_count() for m in levels) == union.bit_count()
+        assert graphs._reach(nbrs, start, within) == union == reach_reference(
+            nbrs, start, within)
+        for steps in range(len(levels) + 2):
+            want = reach_reference(nbrs, start, within, steps)
+            assert graphs._reach(nbrs, start, within, steps) == want
+            assert functools.reduce(operator.or_, levels[:steps + 1], 0) == want
 
 
 def test_tree_count_fixture():

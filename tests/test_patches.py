@@ -427,7 +427,7 @@ def test_branch_cut_leaves_exponent_1_families_no_cross_pairs(c5, petersen, monk
 
 def test_caches_are_bounded():
     for fn in (words._normal_letters, words._coset_letters,
-               patches._commute_cg, patches._ball_conjugators,
+               patches._commute_cg,
                embeddings._doubling_level, ntrees.skeleton, ntrees.shared_faces,
                ntrees.validate_ntree, ntrees.vertex_coloring, ntrees.pieces,
                ntrees._gph_ids, ntrees.build_gph):
