@@ -27,11 +27,6 @@ class DromsDecomposition:
     clique_rank: int
     components: tuple           # SimplicialGraphs, canonically ordered
 
-    def to_json(self):
-        return {"clique_rank": self.clique_rank,
-                "components": [json.loads(graphs.to_json(c))
-                               for c in self.components]}
-
 
 @dataclass(frozen=True)
 class QIVerdict:
@@ -68,31 +63,12 @@ def droms_decompose(g: SimplicialGraph) -> DromsDecomposition:
     union of strictly smaller triangle-built graphs."""
     if not graphs.is_triangle_built(g):
         raise graphs.GraphError("input is not triangle-built")
-    return _droms_split(g)
-
-
-def _droms_split(g: SimplicialGraph) -> DromsDecomposition:
-    """The Droms decomposition of g, which must be triangle-built."""
     uni = set(graphs.universal_vertices(g))
-    rest = graphs.induced_subgraph(g, set(g.vertices) - uni)
+    rest = graphs.induced_subgraph(g, g.vertex_set - uni)
     comps = sorted(
         (graphs.induced_subgraph(rest, c) for c in graphs.connected_components(rest)),
         key=lambda c: c.vertices)
     return DromsDecomposition(len(uni), tuple(comps))
-
-
-def _tb_class_key(g: SimplicialGraph):
-    """Recursive QI-class invariant for triangle-built graphs: clique
-    rank, whether the remainder is a nontrivial free product, and the SET
-    of class keys of components with at least two vertices.
-
-    g must be triangle-built; the caller checks it once, at the root.  The
-    components are induced subgraphs of g, and so triangle-built too, so
-    the recursion splits them without checking them again."""
-    d = _droms_split(g)
-    big = [c for c in d.components if c.n >= 2]
-    return (d.clique_rank, len(d.components) >= 2,
-            frozenset(_tb_class_key(c) for c in big))
 
 
 def maximal_cliques(g: SimplicialGraph):
@@ -179,8 +155,8 @@ def classify_pair(d: SimplicialGraph, g: SimplicialGraph) -> QIVerdict:
         return QIVerdict("QI" if iso else "NotQI", "atomic", iso,
                          "atomic graphs are quasi-isometric only when isomorphic")
 
-    if graphs.is_triangle_built(d) and graphs.is_triangle_built(g):
-        keyd, keyg = _tb_class_key(d), _tb_class_key(g)
+    if ((keyd := graphs.droms_key(d)) is not None
+            and (keyg := graphs.droms_key(g)) is not None):
         same = keyd == keyg
         return QIVerdict("QI" if same else "NotQI", "triangle_built",
                          (keyd, keyg),

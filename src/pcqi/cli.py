@@ -27,12 +27,6 @@ def _dump(data, out=None):
     _write(json.dumps(data, indent=2, sort_keys=True), out)
 
 
-def _to_dot(g: graphs.SimplicialGraph) -> str:
-    lines = [f'  "{v}";' for v in g.vertices]
-    lines += [f'  "{a}" -- "{b}";' for a, b in sorted(sorted(e) for e in g.edges)]
-    return "graph G {\n" + "\n".join(lines) + "\n}"
-
-
 def cmd_predicates(args):
     g = graphs.load_graph(args.graph)
     atomic, violation = graphs.is_atomic(g)
@@ -87,7 +81,7 @@ def cmd_patch(args):
                 raise ValueError(f"--double: no patch vertex named {name!r}")
             p = patches.double_along_star(p, named[name], exponent)
     if args.format == "dot":
-        _write(_to_dot(patches.to_simplicial(p)), args.out)
+        _write(graphs.to_dot(patches.to_simplicial(p)), args.out)
     else:
         _dump(patches.patch_to_json(p), args.out)
     return 0
@@ -105,8 +99,7 @@ def cmd_embed(args):
         return 1
     _dump({
         "result": "Found",
-        "mapping": {v: {"base": cg.base, "conj": words.format_letters(cg.conj)}
-                    for v, cg in cert.mapping},
+        "mapping": {v: cg.to_json() for v, cg in cert.mapping},
         "provenance": patches.provenance_to_json(cert.provenance),
         "verified": embeddings.verify_certificate(cert),
     }, args.out)

@@ -3,8 +3,8 @@ and induced-subgraph search.
 
 Vertex names are opaque strings; the total order on vertices is
 lexicographic and fixed at construction.  All graphs are immutable and
-hashable, so derived data (the adjacency and closed-star maps, the hash)
-is stored on the graph.
+hashable, so derived data (the adjacency and closed-star maps, the
+neighbour bit masks, the hash) is stored on the graph.
 
 Induced-subgraph search is backtracking with forward checking: each
 unmatched domain vertex keeps a set of candidate images, first filtered
@@ -82,6 +82,14 @@ class SimplicialGraph:
         use; not part of equality or hashing."""
         return MappingProxyType({v: ns | {v} for v, ns in self.adjacency.items()})
 
+    @cached_property
+    def nbrs(self) -> tuple:
+        """Each vertex's neighbours as a bit mask over `vertices`, built on
+        first use by `_masks`; not part of equality or hashing.  A patch
+        carries the same form (`Patch.nbrs`, over its own vertex order), so
+        a reader of masks takes either."""
+        return tuple(_masks(self.vertices, self.edges))
+
     def __hash__(self):
         # Computed once in __post_init__, outside equality: the dataclass
         # hash would rehash the vertex tuple on every call, and graphs key
@@ -139,16 +147,12 @@ def induced_subgraph(g, verts) -> SimplicialGraph:
 
 
 def connected_components(g):
-    nbrs, comps, rest = _masks(g.vertices, g.edges), [], (1 << g.n) - 1
-    while rest:
-        comp = _reach(nbrs, rest & -rest)
-        rest ^= comp
-        comps.append(frozenset(v for k, v in enumerate(g.vertices) if comp >> k & 1))
-    return comps
+    return [frozenset(v for k, v in enumerate(g.vertices) if comp >> k & 1)
+            for comp in _components(g.nbrs, (1 << g.n) - 1)]
 
 
 def is_connected(g):
-    return g.n > 0 and _reach(_masks(g.vertices, g.edges), 1) == (1 << g.n) - 1
+    return g.n > 0 and _reach(g.nbrs, 1) == (1 << g.n) - 1
 
 
 def diameter(g):
@@ -160,7 +164,7 @@ def diameter(g):
     eccentricity of every vertex."""
     if not is_connected(g):
         return None
-    nbrs = _masks(g.vertices, g.edges)
+    nbrs = g.nbrs
     if len(g.edges) == g.n - 1:
         *_, last = _levels(nbrs, 1)
         return sum(1 for _ in _levels(nbrs, last & -last)) - 1
@@ -168,20 +172,22 @@ def diameter(g):
 
 
 def girth(g):
-    """Length of a shortest cycle, or None for forests.
+    """Length of a shortest cycle of g, a graph or a patch, or None for
+    forests.
 
     A breadth-first search from each root in turn, level by level on the
-    neighbour bit masks of `_masks`.  With the vertices at distance d from
-    the root as level d, an edge inside level d closes a cycle of length at
-    most 2d + 1, and a vertex of level d + 1 with two neighbours in level d
-    one of length at most 2d + 2; a root on a shortest cycle finds it so,
-    at the first level where it can.  A root's search stops at its first
-    such level, or once 2d + 1 reaches the best cycle already found.  Each
-    root is deleted after its search: a shortest cycle is found from its
-    first vertex, while all its vertices are left.  No cycle is longer than
-    n, so n + 1 stands for "none found".
+    neighbour bit masks `g.nbrs`, so a patch needs no named graph.  With
+    the vertices at distance d from the root as level d, an edge inside
+    level d closes a cycle of length at most 2d + 1, and a vertex of level
+    d + 1 with two neighbours in level d one of length at most 2d + 2; a
+    root on a shortest cycle finds it so, at the first level where it can.
+    A root's search stops at its first such level, or once 2d + 1 reaches
+    the best cycle already found.  Each root is deleted after its search,
+    in a copy of the masks: a shortest cycle is found from its first
+    vertex, while all its vertices are left.  No cycle is longer than n, so
+    n + 1 stands for "none found".
     """
-    nbrs = _masks(g.vertices, g.edges)
+    nbrs = list(g.nbrs)
     n = len(nbrs)
     best = n + 1
     for root in range(n):
@@ -273,23 +279,44 @@ def is_triangle_built(g):
     """No induced square and no induced path on four vertices.
 
     The minimal path obstruction is fixed as the 4-vertex induced path
-    (both the length-3 and the diameter-3 reading give this graph).  A
-    graph has neither iff every connected induced subgraph has a universal
-    vertex (Golumbic, *Trivially perfect graphs*, Discrete Math. 1978), and
-    a universal vertex lies on no induced square or path on four vertices.
-    So each component must have universal vertices, and what is left after
-    removing them must pass again; each round removes a vertex.
+    (both the length-3 and the diameter-3 reading give this graph).  The
+    test is the universal-vertex peel of `droms_key`.
     """
-    todo = [g]
-    while todo:
-        h = todo.pop()
-        for comp in connected_components(h):
-            sub = h if len(comp) == h.n else induced_subgraph(h, comp)
-            uni = universal_vertices(sub)
-            if not uni:
-                return False
-            todo.append(induced_subgraph(sub, comp.difference(uni)))
-    return True
+    return droms_key(g) is not None
+
+
+def droms_key(g):
+    """The recursive triangle-built class key of g, or None when g is not
+    triangle-built.
+
+    A graph has no induced square and no induced path on four vertices iff
+    every connected induced subgraph has a universal vertex (Golumbic,
+    *Trivially perfect graphs*, Discrete Math. 1978), and a universal
+    vertex lies on neither.  So the peel removes the universal vertices of
+    each connected part, the clique factor of Droms' decomposition
+    (*Subgroups of graph groups*, J. Algebra 1987), and peels each
+    component of the rest again; a connected part of two or more vertices
+    with no universal vertex gives None.  The key of a part is its number
+    of universal vertices, whether the rest has two or more components (a
+    nontrivial free product), and the set of the keys of its components of
+    two or more vertices.  It runs on the masks `g.nbrs`, one bit mask per
+    part, and builds no graph."""
+    return _droms_key(g.nbrs, (1 << g.n) - 1)
+
+
+def _droms_key(nbrs, part):
+    """`droms_key` of the part of the masks `nbrs` in the bit mask `part`:
+    every vertex at the root, a connected part below it."""
+    # k is universal in `part` when the part less its neighbours is k alone
+    uni = sum(1 << k for k, m in enumerate(nbrs) if part & ~m == 1 << k)
+    comps = list(_components(nbrs, part & ~uni))
+    if not uni and len(comps) == 1:
+        return None
+    # the keys of the components of two or more vertices
+    keys = [_droms_key(nbrs, c) for c in comps if c & (c - 1)]
+    if None in keys:
+        return None
+    return uni.bit_count(), len(comps) >= 2, frozenset(keys)
 
 
 def is_chordal(g):
@@ -338,7 +365,7 @@ def is_atomic(g):
     gr = girth(g)
     if gr is not None and gr < 5:
         return False, AtomicViolation("girth", (gr,))
-    nbrs = _masks(g.vertices, g.edges)
+    nbrs = g.nbrs
     everything = (1 << g.n) - 1
     for k, v in enumerate(g.vertices):
         rest = everything & ~(nbrs[k] | 1 << k)
@@ -372,6 +399,15 @@ def _reach(nbrs, start, within=-1, steps=-1):
     mask `within`.  The levels are disjoint, so their sum is their union."""
     levels = _levels(nbrs, start, within)
     return sum(levels if steps < 0 else itertools.islice(levels, steps + 1))
+
+
+def _components(nbrs, rest):
+    """The connected components of the part of the masks `nbrs` in the bit
+    mask `rest`, as bit masks, in the order of their lowest vertices."""
+    while rest:
+        comp = _reach(nbrs, rest & -rest, rest)
+        rest ^= comp
+        yield comp
 
 
 @dataclass(frozen=True)
@@ -420,8 +456,8 @@ def _domain_plan(dom, conditions=()):
 
 def _masks(vertices, edges):
     """The neighbours of each of `vertices` under `edges`, vertex pairs, as
-    bit masks over `vertices` in the order given: the codomain form that
-    `_embedding_search` reads and the graph form that `girth` searches."""
+    bit masks over `vertices` in the order given; in the package,
+    `SimplicialGraph.nbrs` is its one caller."""
     index = {v: k for k, v in enumerate(vertices)}
     nbrs = [0] * len(index)
     for a, b in edges:
@@ -546,7 +582,7 @@ def find_induced_embeddings(dom, cod, limit=None):
     plan = _domain_plan(dom)
     names = cod.vertices
     return [GraphEmbedding(dom, cod, tuple(sorted(zip(plan.order, [names[k] for k in f]))))
-            for f in _embedding_search(plan, _masks(cod.vertices, cod.edges), limit)]
+            for f in _embedding_search(plan, cod.nbrs, limit)]
 
 
 def _symmetry_conditions(g, auts):
@@ -587,7 +623,7 @@ def _isomorphisms(g, h, colours=None, limit=None):
         seeds[c] = seeds.get(c, 0) | 1 << k
     plan, names, key = _domain_plan(g), h.vertices, dict(zip(g.vertices, key_g))
     return [dict(sorted(zip(plan.order, [names[k] for k in f])))
-            for f in _embedding_search(plan, _masks(h.vertices, h.edges), limit,
+            for f in _embedding_search(plan, h.nbrs, limit,
                                        [seeds[key[v]] for v in plan.order])]
 
 
@@ -648,13 +684,24 @@ def from_json(text: str) -> SimplicialGraph:
     return graph(*graph_fields(json_object(text, ("vertices",))))
 
 
-_DOT_ID = r'"([^"]*)"|([\w.]+)'
+_DOT_ID = r'"((?:[^"\\]|\\[\s\S])*)"|([\w.]+)'
+
+
+def to_dot(g) -> str:
+    """g in the DOT subset that `from_dot` reads: every id quoted, with `\\`
+    and `"` escaped, one statement per vertex and per edge."""
+    q = {v: '"' + re.sub(r'([\\"])', r'\\\1', v) + '"' for v in g.vertices}
+    lines = [f"  {q[v]};" for v in g.vertices]
+    lines += [f"  {q[a]} -- {q[b]};" for a, b in sorted(sorted(e) for e in g.edges)]
+    return "graph G {\n" + "\n".join(lines) + "\n}"
 
 
 def from_dot(text: str) -> SimplicialGraph:
     """A minimal undirected DOT subset: `graph [name] { ... }` holding
     statements `id` or `id -- id (-- id)*`, separated by `;` or newlines;
-    an id is a double-quoted string or a bare word (letters, digits, _ .)."""
+    an id is a double-quoted string or a bare word (letters, digits, _ .).
+    Inside a quoted id, `\\"` stands for `"` and `\\\\` for `\\`; any
+    other backslash is literal."""
     start, end = text.find("{"), text.rfind("}")
     if start < 0 or end < start:
         raise GraphError("DOT input has no { ... } body")
@@ -662,10 +709,11 @@ def from_dot(text: str) -> SimplicialGraph:
     if not head or text[end + 1:].strip():
         raise GraphError("DOT input is not of the form graph [name] { ... }")
     verts, edges = [], []
-    for stmt in re.findall(r'(?:"[^"]*"|[^;\n])+', text[start + 1:end]):
+    for stmt in re.findall(r'(?:"(?:[^"\\]|\\[\s\S])*"|[^;\n])+', text[start + 1:end]):
         if not re.fullmatch(rf'\s*(?:(?:{_DOT_ID})\s*(?:--\s*(?:{_DOT_ID})\s*)*)?', stmt):
             raise GraphError(f"DOT statement is not id or id -- id: {stmt.strip()!r}")
-        chain = [quoted or bare for quoted, bare in re.findall(_DOT_ID, stmt)]
+        chain = [re.sub(r'\\([\\"])', r'\1', quoted) or bare
+                 for quoted, bare in re.findall(_DOT_ID, stmt)]
         verts.extend(chain)
         edges.extend(zip(chain, chain[1:]))
     return graph(verts, edges)

@@ -93,6 +93,9 @@ class ConjugateGenerator:
         c = GroupWord(g, self.conj)
         return c.inverse() * GroupWord(g, ((self.base, 1),)) * c
 
+    def to_json(self) -> dict:
+        return {"base": self.base, "conj": words.format_letters(self.conj)}
+
 
 def conjugate_generator(g: SimplicialGraph, base: str, conj: GroupWord) -> ConjugateGenerator:
     """Canonicalize v^g into its unique (base, coset representative) pair."""
@@ -485,10 +488,7 @@ def provenance_to_json(provenance) -> list:
 
 def patch_to_json(p: Patch) -> dict:
     return {
-        "vertices": [
-            {"base": cg.base, "conj": words.format_letters(cg.conj)}
-            for cg in p.cg_vertices
-        ],
+        "vertices": [cg.to_json() for cg in p.cg_vertices],
         "edges": [[i, j] for i, j in _index_pairs(p.nbrs)],
         "provenance": provenance_to_json(p.provenance),
     }

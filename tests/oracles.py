@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from pcqi import bisim, embeddings, graphs, ntrees, patches, rigidity, words
+from pcqi import bisim, classify, embeddings, graphs, ntrees, patches, rigidity, words
 from pcqi.words import GroupWord
 
 
@@ -311,7 +311,8 @@ def reach_reference(nbrs, start, within=-1, steps=-1):
 # ---------------------------------------------------------------------------
 # shape predicates: the 4-subset scan and the complement-based join test
 # that the universal-vertex recursion and the one-vertex join test
-# replaced, kept verbatim
+# replaced, and the recursion and class key on induced subgraphs that the
+# peel on masks (`graphs.droms_key`) replaced, kept verbatim
 
 def is_triangle_built_reference(g):
     """No induced square and no induced path on four vertices.
@@ -332,6 +333,65 @@ def is_triangle_built_reference(g):
             if all(d == 2 for d in degs):   # induced square
                 return False
     return True
+
+
+def is_triangle_built_peel_reference(g):
+    """`graphs.is_triangle_built` before `graphs.droms_key`, kept verbatim:
+    the universal-vertex recursion on induced subgraphs.
+
+    No induced square and no induced path on four vertices.
+
+    The minimal path obstruction is fixed as the 4-vertex induced path
+    (both the length-3 and the diameter-3 reading give this graph).  A
+    graph has neither iff every connected induced subgraph has a universal
+    vertex (Golumbic, *Trivially perfect graphs*, Discrete Math. 1978), and
+    a universal vertex lies on no induced square or path on four vertices.
+    So each component must have universal vertices, and what is left after
+    removing them must pass again; each round removes a vertex.
+    """
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        for comp in graphs.connected_components(h):
+            sub = h if len(comp) == h.n else graphs.induced_subgraph(h, comp)
+            uni = graphs.universal_vertices(sub)
+            if not uni:
+                return False
+            todo.append(graphs.induced_subgraph(sub, comp.difference(uni)))
+    return True
+
+
+def droms_split_reference(g):
+    """`classify._droms_split`, kept verbatim: the Droms decomposition of
+    g, which must be triangle-built."""
+    uni = set(graphs.universal_vertices(g))
+    rest = graphs.induced_subgraph(g, set(g.vertices) - uni)
+    comps = sorted(
+        (graphs.induced_subgraph(rest, c) for c in graphs.connected_components(rest)),
+        key=lambda c: c.vertices)
+    return classify.DromsDecomposition(len(uni), tuple(comps))
+
+
+def tb_class_key_reference(g):
+    """`classify._tb_class_key`, kept verbatim.
+
+    Recursive QI-class invariant for triangle-built graphs: clique
+    rank, whether the remainder is a nontrivial free product, and the SET
+    of class keys of components with at least two vertices.
+
+    g must be triangle-built; the caller checks it once, at the root.  The
+    components are induced subgraphs of g, and so triangle-built too, so
+    the recursion splits them without checking them again."""
+    d = droms_split_reference(g)
+    big = [c for c in d.components if c.n >= 2]
+    return (d.clique_rank, len(d.components) >= 2,
+            frozenset(tb_class_key_reference(c) for c in big))
+
+
+def droms_key_reference(g):
+    """What `graphs.droms_key` replaced: the old class key of a
+    triangle-built g, None otherwise."""
+    return tb_class_key_reference(g) if is_triangle_built_peel_reference(g) else None
 
 
 def is_atomic_reference(g):

@@ -5,7 +5,7 @@ import pytest
 from pcqi import classify, embeddings, graphs, ntrees
 
 from conftest import clique, cycle, edgeless, path, predicate_inputs, star
-from oracles import is_triangle_built_reference
+from oracles import droms_key_reference, is_triangle_built_reference
 
 
 def join(g1, g2):
@@ -54,7 +54,8 @@ def test_universal_vertices_and_droms():
 
 def test_droms_and_classify_pair_match_reference_scan(rng, monkeypatch):
     """The triangle-built verdicts are those given with the old 4-subset
-    scan, on the triangle-built predicate inputs paired off in order."""
+    scan and the old class key on induced subgraphs, on the triangle-built
+    predicate inputs paired off in order."""
     tb = [g for g in predicate_inputs(rng) if is_triangle_built_reference(g)]
     pairs = list(zip(tb[0::2], tb[1::2]))
 
@@ -64,20 +65,20 @@ def test_droms_and_classify_pair_match_reference_scan(rng, monkeypatch):
 
     new = outcomes()
     monkeypatch.setattr(graphs, "is_triangle_built", is_triangle_built_reference)
+    monkeypatch.setattr(graphs, "droms_key", droms_key_reference)
     assert outcomes() == new
     assert sum(v.klass == "triangle_built" for v in new[1]) > 2000
 
 
 def test_triangle_built_class_key_checks_each_root_once(monkeypatch):
-    """classify_pair checks each triangle-built input once, at the root;
-    the class-key recursion splits components without checking again."""
+    """classify_pair peels each triangle-built input once, at the root;
+    the peel recurses into the components without another call."""
     a = join(relabel(clique(1), "u"), disjoint(star(3), DIAMOND))
     b = disjoint(a, clique(3))
     c = join(relabel(clique(2), "w"), disjoint(a, path(2)))
     calls = []
-    genuine = graphs.is_triangle_built
-    monkeypatch.setattr(graphs, "is_triangle_built",
-                        lambda g: calls.append(g) or genuine(g))
+    genuine = graphs.droms_key
+    monkeypatch.setattr(graphs, "droms_key", lambda g: calls.append(g) or genuine(g))
     for d, g in ((a, b), (b, c), (c, a), (c, c)):
         calls.clear()
         verdict = classify.classify_pair(d, g)

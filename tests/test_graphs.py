@@ -15,8 +15,8 @@ from conftest import (all_trees, clique, cycle, edgeless, isomorphism_pairs, pat
 from oracles import (are_isomorphic_reference, automorphisms_reference,
                      classify_shape_reference, complement, diameter_reference,
                      embeddings_oracle, find_induced_embeddings_reference,
-                     girth_reference, is_atomic_reference, is_triangle_built_reference,
-                     reach_reference)
+                     droms_key_reference, girth_reference, is_atomic_reference,
+                     is_triangle_built_reference, reach_reference)
 from test_acceptance import random_tree
 
 
@@ -71,6 +71,15 @@ def test_star_map_is_frozen_and_outside_equality(rng, c5, petersen):
     assert hash(c5) == hash((c5.vertices, c5.edges))
 
 
+def test_masks_are_frozen_and_outside_equality(rng, c5, petersen):
+    for g in (c5, petersen, graphs.graph([]), random_graph(9, 0.4, rng)):
+        fresh = graphs.SimplicialGraph(g.vertices, g.edges)
+        assert g.nbrs == tuple(graphs._masks(g.vertices, g.edges))
+        assert type(g.nbrs) is tuple and g.nbrs is g.nbrs
+        assert "nbrs" in vars(g) and "nbrs" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh)
+
+
 def test_components_diameter_girth(c5, petersen):
     assert graphs.is_connected(c5)
     assert graphs.diameter(c5) == 2
@@ -120,10 +129,10 @@ def test_girth_matches_reference(rng, c5, petersen):
     for _ in range(2000):
         g = random_graph(rng.randrange(0, 13), rng.random(), rng)
         assert graphs.girth(g) == girth_reference(g)
-    for g, depth in ((c5, 3), (petersen, 2)):
-        for p in patches.doubling_family(g, depth):
+    for g in (c5, petersen):
+        for p in patches.doubling_family(g, 3):
             plain = patches.to_simplicial(p)
-            assert graphs.girth(plain) == girth_reference(plain)
+            assert graphs.girth(p) == graphs.girth(plain) == girth_reference(plain)
 
 
 def heawood():
@@ -212,6 +221,19 @@ def test_triangle_built_and_shape_match_references(rng):
             assert shape == classify_shape_reference(g), (g.vertices, g.edges)
             joins += shape.kind == "join_of_two_edgeless"
     assert triangle_built > 4000 and joins >= 38   # every labelled K_{m,n}, m, n >= 2
+
+
+def test_droms_key_matches_the_recursion_on_induced_subgraphs(rng):
+    """The peel on masks gives the class key of the recursion on induced
+    subgraphs that it replaced, on every predicate input, and None exactly
+    where that recursion finds a connected part with no universal vertex."""
+    keys = nones = 0
+    for g in predicate_inputs(rng):
+        key = graphs.droms_key(g)
+        assert key == droms_key_reference(g), (g.vertices, g.edges)
+        keys += key is not None and len(key[2]) >= 2
+        nones += key is None
+    assert keys > 100 and nones > 10000
 
 
 def test_atomic(c5, petersen):
@@ -461,3 +483,16 @@ def test_dot_parsing(tmp_path):
     q = tmp_path / "g.json"
     q.write_text(graphs.to_json(g))
     assert graphs.load_graph(q) == g
+
+
+def test_dot_names_round_trip():
+    """`to_dot` quotes every name, escaping `\\` and `"`, and `from_dot`
+    reads the escapes back; any other backslash is literal."""
+    assert graphs.to_dot(path(3)) == (
+        'graph G {\n  "a";\n  "b";\n  "c";\n  "a" -- "b";\n  "b" -- "c";\n}')
+    names = ['a"b', "c\\d", "e f", "g--h", "i;j", "{k}", "l}", "\\", '"', 'm\\"n', "o\\n"]
+    g = graphs.graph(names, zip(names, names[1:]))
+    text = graphs.to_dot(g)
+    assert '"a\\"b"' in text and '"c\\\\d"' in text
+    assert graphs.from_dot(text) == g
+    assert graphs.from_dot('graph { "x\\ny" -- "\\\\" }').vertices == ("\\", "x\\ny")
